@@ -21,7 +21,7 @@ use std::time::Duration;
 /// Runs the paper's Baseline: no iUB / No-EM / early-termination filters;
 /// every candidate is verified (`em_threads`-way parallel).
 pub fn baseline_search(
-    repo: &Repository,
+    repo: &Arc<Repository>,
     sim: Arc<dyn ElementSimilarity>,
     query: &[TokenId],
     k: usize,
@@ -33,13 +33,13 @@ pub fn baseline_search(
         .baseline()
         .with_parallel_em(em_threads);
     cfg.time_budget = time_budget;
-    Koios::new(repo, sim, cfg).search(query)
+    Koios::new(Arc::clone(repo), sim, cfg).search(query)
 }
 
 /// Runs Baseline+: exhaustive verification, but with the iUB filter
 /// thinning the candidate set during refinement.
 pub fn baseline_plus_search(
-    repo: &Repository,
+    repo: &Arc<Repository>,
     sim: Arc<dyn ElementSimilarity>,
     query: &[TokenId],
     k: usize,
@@ -51,7 +51,7 @@ pub fn baseline_plus_search(
         .baseline_plus()
         .with_parallel_em(em_threads);
     cfg.time_budget = time_budget;
-    Koios::new(repo, sim, cfg).search(query)
+    Koios::new(Arc::clone(repo), sim, cfg).search(query)
 }
 
 #[cfg(test)]
@@ -61,18 +61,18 @@ mod tests {
     use koios_datagen::corpus::{Corpus, CorpusSpec};
     use koios_embed::sim::CosineSimilarity;
 
-    fn corpus() -> Corpus {
-        Corpus::generate(CorpusSpec::small(31))
+    fn corpus() -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
+        let c = Corpus::generate(CorpusSpec::small(31));
+        let sim = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+        (Arc::new(c.repository), sim)
     }
 
     #[test]
     fn baseline_agrees_with_koios() {
-        let c = corpus();
-        let sim: Arc<dyn ElementSimilarity> =
-            Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-        let query = c.repository.set(SetId(5)).to_vec();
-        let base = baseline_search(&c.repository, sim.clone(), &query, 5, 0.8, 1, None);
-        let engine = Koios::new(&c.repository, sim, KoiosConfig::new(5, 0.8));
+        let (repo, sim) = corpus();
+        let query = repo.set(SetId(5)).to_vec();
+        let base = baseline_search(&repo, sim.clone(), &query, 5, 0.8, 1, None);
+        let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8));
         let koios = engine.search(&query);
         assert_eq!(base.hits.len(), koios.hits.len());
         // Koios orders hits by upper bound and No-EM certified hits carry
@@ -102,23 +102,19 @@ mod tests {
 
     #[test]
     fn baseline_verifies_every_candidate() {
-        let c = corpus();
-        let sim: Arc<dyn ElementSimilarity> =
-            Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-        let query = c.repository.set(SetId(9)).to_vec();
-        let res = baseline_search(&c.repository, sim, &query, 3, 0.8, 2, None);
+        let (repo, sim) = corpus();
+        let query = repo.set(SetId(9)).to_vec();
+        let res = baseline_search(&repo, sim, &query, 3, 0.8, 2, None);
         assert_eq!(res.stats.em_full, res.stats.candidates);
         assert_eq!(res.stats.iub_pruned, 0);
     }
 
     #[test]
     fn baseline_plus_prunes_but_stays_exact() {
-        let c = corpus();
-        let sim: Arc<dyn ElementSimilarity> =
-            Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-        let query = c.repository.set(SetId(9)).to_vec();
-        let plus = baseline_plus_search(&c.repository, sim.clone(), &query, 3, 0.8, 1, None);
-        let base = baseline_search(&c.repository, sim, &query, 3, 0.8, 1, None);
+        let (repo, sim) = corpus();
+        let query = repo.set(SetId(9)).to_vec();
+        let plus = baseline_plus_search(&repo, sim.clone(), &query, 3, 0.8, 1, None);
+        let base = baseline_search(&repo, sim, &query, 3, 0.8, 1, None);
         // Same result scores.
         let ps: Vec<f64> = plus.hits.iter().map(|h| h.score.ub()).collect();
         let bs: Vec<f64> = base.hits.iter().map(|h| h.score.ub()).collect();
@@ -131,19 +127,9 @@ mod tests {
 
     #[test]
     fn tiny_time_budget_flags_timeout() {
-        let c = corpus();
-        let sim: Arc<dyn ElementSimilarity> =
-            Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-        let query = c.repository.set(SetId(1)).to_vec();
-        let res = baseline_search(
-            &c.repository,
-            sim,
-            &query,
-            3,
-            0.8,
-            1,
-            Some(Duration::from_nanos(1)),
-        );
+        let (repo, sim) = corpus();
+        let query = repo.set(SetId(1)).to_vec();
+        let res = baseline_search(&repo, sim, &query, 3, 0.8, 1, Some(Duration::from_nanos(1)));
         assert!(res.stats.timed_out);
     }
 }

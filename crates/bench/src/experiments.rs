@@ -12,7 +12,7 @@ use crate::table::{fmt_secs, pct, TextTable};
 use koios_baselines::silkmoth::{SilkMoth, SilkMothVariant};
 use koios_baselines::vanilla_topk;
 use koios_common::{Json, SetId, TokenId};
-use koios_core::{Koios, KoiosConfig, PartitionedKoios, SearchResult, UbMode};
+use koios_core::{EngineBackend, Koios, KoiosConfig, SearchResult, UbMode};
 use koios_datagen::profiles;
 use koios_embed::sim::{ElementSimilarity, QGramJaccard};
 use koios_index::inverted::InvertedIndex;
@@ -78,13 +78,14 @@ struct Outcome {
     result: SearchResult,
 }
 
-fn run_partitioned(run: &ProfileRun, hc: &HarnessConfig) -> Vec<Outcome> {
-    let engine = PartitionedKoios::new(
-        &run.corpus.repository,
+/// Runs every benchmark query on a `partitions`-shard engine.
+fn run_engine(run: &ProfileRun, cfg: KoiosConfig, partitions: usize, seed: u64) -> Vec<Outcome> {
+    let engine = EngineBackend::new(
+        Arc::clone(&run.repo),
         Arc::clone(&run.sim),
-        hc.koios_config(),
-        hc.partitions.max(1),
-        hc.seed,
+        cfg,
+        partitions.max(1),
+        seed,
     );
     run.benchmark
         .queries
@@ -96,16 +97,8 @@ fn run_partitioned(run: &ProfileRun, hc: &HarnessConfig) -> Vec<Outcome> {
         .collect()
 }
 
-fn run_single(run: &ProfileRun, cfg: KoiosConfig) -> Vec<Outcome> {
-    let engine = Koios::new(&run.corpus.repository, Arc::clone(&run.sim), cfg);
-    run.benchmark
-        .queries
-        .iter()
-        .map(|q| Outcome {
-            interval: q.interval,
-            result: engine.search(&q.tokens),
-        })
-        .collect()
+fn run_partitioned(run: &ProfileRun, hc: &HarnessConfig) -> Vec<Outcome> {
+    run_engine(run, hc.koios_config(), hc.partitions, hc.seed)
 }
 
 fn run_baseline(run: &ProfileRun, hc: &HarnessConfig, plus: bool) -> Vec<Outcome> {
@@ -116,7 +109,7 @@ fn run_baseline(run: &ProfileRun, hc: &HarnessConfig, plus: bool) -> Vec<Outcome
     };
     cfg.time_budget = Some(hc.timeout);
     cfg = cfg.with_parallel_em(hc.partitions.max(1));
-    run_single(run, cfg)
+    run_engine(run, cfg, 1, 0)
 }
 
 fn avg(xs: impl Iterator<Item = f64>) -> f64 {
@@ -497,7 +490,7 @@ pub fn fig7(hc: &HarnessConfig) -> String {
     for alpha in [0.5, 0.6, 0.7, 0.8, 0.9] {
         let mut cfg = KoiosConfig::new(hc.k, alpha);
         cfg.time_budget = Some(hc.timeout);
-        let outcomes = run_single(&run, cfg);
+        let outcomes = run_engine(&run, cfg, 1, 0);
         let time = avg(outcomes
             .iter()
             .map(|o| o.result.stats.response_time().as_secs_f64()));
@@ -556,9 +549,9 @@ pub fn fig8(hc: &HarnessConfig) -> String {
     let profile = profiles::opendata(hc.scale);
     let intervals = profile.intervals.clone();
     let run = hc.profile_run(profile);
-    let repo = &run.corpus.repository;
+    let repo = &run.repo;
     let index = InvertedIndex::build(repo);
-    let engine = Koios::new(repo, Arc::clone(&run.sim), hc.koios_config());
+    let engine = Koios::new(Arc::clone(repo), Arc::clone(&run.sim), hc.koios_config());
 
     let mut t = TextTable::new(vec![
         "query card.",
@@ -617,7 +610,7 @@ pub fn silkmoth(hc: &HarnessConfig) -> String {
     let mut profile = profiles::opendata((hc.scale * 0.5).max(0.01));
     profile.queries_per_interval = 2;
     let run = hc.profile_run(profile);
-    let repo = &run.corpus.repository;
+    let repo = &run.repo;
     let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(repo, 3));
     let alpha = hc.alpha;
 
@@ -626,7 +619,7 @@ pub fn silkmoth(hc: &HarnessConfig) -> String {
     let mut cfg = KoiosConfig::new(hc.k, alpha);
     cfg.no_em_filter = false;
     cfg.time_budget = Some(hc.timeout);
-    let engine = Koios::new(repo, Arc::clone(&sim), cfg);
+    let engine = Koios::new(Arc::clone(repo), Arc::clone(&sim), cfg);
     let mut koios_time = Vec::new();
     let mut theta_min = f64::INFINITY;
     let mut results = Vec::new();
@@ -696,7 +689,7 @@ pub fn silkmoth(hc: &HarnessConfig) -> String {
 pub fn token_cache(hc: &HarnessConfig) -> String {
     let profile = profiles::opendata(hc.scale);
     let run = hc.profile_run(profile);
-    let repo = &run.corpus.repository;
+    let repo = &run.repo;
 
     let mut workload: Vec<Vec<TokenId>> = Vec::new();
     for q in &run.benchmark.queries {
@@ -707,7 +700,7 @@ pub fn token_cache(hc: &HarnessConfig) -> String {
         }
     }
 
-    let plain = Koios::new(repo, Arc::clone(&run.sim), hc.koios_config());
+    let plain = Koios::new(Arc::clone(repo), Arc::clone(&run.sim), hc.koios_config());
     let cache = Arc::new(TokenKnnCache::new(256 << 20));
     let caching = plain.with_config(hc.koios_config().with_token_cache(Arc::clone(&cache)));
 
@@ -787,9 +780,14 @@ pub fn token_cache(hc: &HarnessConfig) -> String {
 /// Every combination pushes the same benchmark workload (result cache
 /// bypassed so each request really searches) through the service and
 /// reports wall time, throughput, mean engine response time and timeouts.
-/// The `1 shard × 1 worker` cell is the single-engine reference; every
-/// other cell must return identical hit scores (`identical: true` in the
-/// output — sharding under a shared `θlb` is exact, §VI). Besides the
+/// The `1 shard × 1 worker` cell is the reference; every other cell must
+/// return identical hit scores (`identical: true` in the output — sharding
+/// under a shared `θlb` is exact, §VI). The sweep runs with the No-EM
+/// filter off, so every cell reports exact scores: with it on, one shard
+/// reports the single engine's No-EM intervals where more shards resolve
+/// them. Separately, one shard must return the hits of a `Koios` over the
+/// full index, score forms included, under the default configuration
+/// (`identical_full: true`). Besides the
 /// rendered table, the rows are written to `BENCH_partitioned.json` in the
 /// working directory so CI can track scaling trends across commits; each
 /// row embeds a `telemetry` scrape of that cell's service registry
@@ -803,7 +801,25 @@ pub fn partitioned(hc: &HarnessConfig) -> String {
 pub fn partitioned_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> String {
     let profile = profiles::opendata(hc.scale);
     let run = hc.profile_run(profile);
-    let repo = Arc::new(run.corpus.repository.clone());
+    let repo = Arc::clone(&run.repo);
+
+    // One shard against the direct engine, hit for hit (No-EM on).
+    let direct = Koios::new(Arc::clone(&repo), Arc::clone(&run.sim), hc.koios_config());
+    let one_shard = EngineBackend::new(
+        Arc::clone(&repo),
+        Arc::clone(&run.sim),
+        hc.koios_config(),
+        1,
+        hc.seed,
+    );
+    let identical_full = run
+        .benchmark
+        .queries
+        .iter()
+        .all(|q| one_shard.search(&q.tokens).hits == direct.search(&q.tokens).hits);
+
+    let mut sweep_cfg = hc.koios_config();
+    sweep_cfg.no_em_filter = false;
     let requests: Vec<SearchRequest> = run
         .benchmark
         .queries
@@ -846,7 +862,7 @@ pub fn partitioned_with_output(hc: &HarnessConfig, json_path: &std::path::Path) 
             let service = SearchService::new_partitioned(
                 Arc::clone(&repo),
                 Arc::clone(&run.sim),
-                hc.koios_config(),
+                sweep_cfg.clone(),
                 shards,
                 hc.seed,
                 ServiceConfig::new()
@@ -917,7 +933,8 @@ pub fn partitioned_with_output(hc: &HarnessConfig, json_path: &std::path::Path) 
 
     // The artifact goes through the shared encoder (one JSON
     // implementation in the workspace; non-finite values become `null`
-    // instead of invalid JSON). CI greps for `"identical":true`.
+    // instead of invalid JSON). CI greps for `"identical":true` and
+    // `"identical_full":true`.
     // CI scaling gate: lenient — the best 4-worker cell must beat its
     // 1-worker anchor by ≥ 1.2×. A single-core machine cannot demonstrate
     // parallel speedup at all, so it auto-passes (the multi-core CI runner
@@ -934,6 +951,7 @@ pub fn partitioned_with_output(hc: &HarnessConfig, json_path: &std::path::Path) 
         ("alpha", Json::num(hc.alpha)),
         ("queries", Json::num(requests.len() as f64)),
         ("identical", Json::Bool(identical)),
+        ("identical_full", Json::Bool(identical_full)),
         ("cores", Json::num(cores as f64)),
         ("best_worker_speedup", Json::num(best_speedup)),
         ("scaling_ok", Json::Bool(scaling_ok)),
@@ -948,7 +966,8 @@ pub fn partitioned_with_output(hc: &HarnessConfig, json_path: &std::path::Path) 
 
     format!(
         "Partitioned serving — shards × workers over {} queries (k={}, α={},\n\
-         result cache bypassed; all cells identical to the 1-shard reference: {identical};\n\
+         result cache bypassed, No-EM off; all cells identical to the 1-shard reference: {identical};\n\
+         1 shard identical to the direct engine with No-EM on: {identical_full};\n\
          best 4-worker speedup {best_speedup:.2}× on {cores} core(s), scaling_ok={scaling_ok}).\n\
          {json_note}.\n{}",
         requests.len(),
@@ -985,7 +1004,7 @@ pub fn serving_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> S
 
     let profile = profiles::opendata(hc.scale);
     let run = hc.profile_run(profile);
-    let repo = Arc::new(run.corpus.repository.clone());
+    let repo = Arc::clone(&run.repo);
 
     // Slow-query log artifact next to the JSON rows (BENCH_serving.json →
     // BENCH_serving.slow.jsonl), truncated per run so CI uploads only this
@@ -1225,7 +1244,7 @@ pub fn trace_overhead(hc: &HarnessConfig) -> String {
 pub fn trace_overhead_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> String {
     let profile = profiles::opendata(hc.scale);
     let run = hc.profile_run(profile);
-    let repo = Arc::new(run.corpus.repository.clone());
+    let repo = Arc::clone(&run.repo);
     let build = |tracing: bool| {
         let mut cfg = ServiceConfig::new().with_workers(4).with_cache_capacity(0);
         if !tracing {
@@ -1348,7 +1367,7 @@ pub fn profile_overhead(hc: &HarnessConfig) -> String {
 pub fn profile_overhead_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> String {
     let profile = profiles::opendata(hc.scale);
     let run = hc.profile_run(profile);
-    let repo = Arc::new(run.corpus.repository.clone());
+    let repo = Arc::clone(&run.repo);
     let build = |profiler: bool| {
         let mut cfg = ServiceConfig::new()
             .with_workers(4)
@@ -1490,8 +1509,8 @@ pub fn profile_overhead_with_output(hc: &HarnessConfig, json_path: &std::path::P
 /// cold build vs warm start from a `koios-store` snapshot.
 ///
 /// The cold side regenerates the corpus from scratch (deliberately
-/// bypassing the shared corpus cache) and builds a single-index and a
-/// partitioned engine; the warm side writes one snapshot per backend, then
+/// bypassing the shared corpus cache) and builds a one-shard and a sharded
+/// engine; the warm side writes one snapshot per backend, then
 /// restores each with `EngineBackend::from_snapshot` (best of three loads).
 /// Every benchmark query must return **byte-identical** hits on the
 /// restored engine (`identical: true` — snapshots store vectors and
@@ -1506,31 +1525,12 @@ pub fn snapshot(hc: &HarnessConfig) -> String {
 /// [`snapshot`] with an explicit JSON artifact path (tests write to a temp
 /// location instead of the working directory).
 pub fn snapshot_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> String {
-    use koios_core::EngineBackend;
-
     // Cold build, measured from scratch: corpus + embedding generation
     // (what `setup_profile` times as `generation_time`) plus engine/index
     // construction per backend.
     let mut run = crate::setup::setup_profile(profiles::opendata(hc.scale), hc.seed);
     cap_queries(&mut run.benchmark, hc.queries_per_interval);
     let gen_secs = run.generation_time.as_secs_f64();
-    let repo = Arc::new(run.corpus.repository.clone());
-
-    let t0 = std::time::Instant::now();
-    let single_cold: EngineBackend =
-        koios_core::OwnedKoios::new(Arc::clone(&repo), Arc::clone(&run.sim), hc.koios_config())
-            .into();
-    let build_single = t0.elapsed().as_secs_f64();
-    let t0 = std::time::Instant::now();
-    let parted_cold: EngineBackend = koios_core::OwnedPartitionedKoios::new(
-        Arc::clone(&repo),
-        Arc::clone(&run.sim),
-        hc.koios_config(),
-        hc.partitions.max(1),
-        hc.seed,
-    )
-    .into();
-    let build_parted = t0.elapsed().as_secs_f64();
 
     // Per-process work dir: concurrent harness/test runs (e.g. CI jobs on
     // one runner) must not race on each other's snapshot files.
@@ -1553,10 +1553,19 @@ pub fn snapshot_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> 
     let mut json_rows: Vec<Json> = Vec::new();
     let mut identical = true;
     let mut speedup_ok = true;
-    for (label, cold, build_secs, file) in [
-        ("single", &single_cold, build_single, "single.ksnap"),
-        ("partitioned", &parted_cold, build_parted, "parted.ksnap"),
+    for (label, partitions, file) in [
+        ("single", 1, "single.ksnap"),
+        ("partitioned", hc.partitions.max(1), "parted.ksnap"),
     ] {
+        let t0 = std::time::Instant::now();
+        let cold = EngineBackend::new(
+            Arc::clone(&run.repo),
+            Arc::clone(&run.sim),
+            hc.koios_config(),
+            partitions,
+            hc.seed,
+        );
+        let build_secs = t0.elapsed().as_secs_f64();
         let path = dir.join(file);
         let t0 = std::time::Instant::now();
         let meta = match cold.write_snapshot(&path, Some(emb)) {
@@ -1679,7 +1688,7 @@ pub fn live_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> Stri
 
     let profile = profiles::opendata(hc.scale);
     let run = hc.profile_run(profile);
-    let repo = Arc::new(run.corpus.repository.clone());
+    let repo = Arc::clone(&run.repo);
     let emb = Arc::new(run.corpus.embeddings.clone());
     let queries: Vec<Vec<TokenId>> = run
         .benchmark
@@ -1734,24 +1743,15 @@ pub fn live_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> Stri
         let cfg = hc
             .koios_config()
             .with_token_cache(Arc::new(TokenKnnCache::new(16 << 20)));
-        let build = |cfg: KoiosConfig| -> Result<MutableEngine, koios_store::StoreError> {
-            if partitions == 1 {
-                MutableEngine::single(
-                    Arc::clone(&repo),
-                    Some(Arc::clone(&emb)),
-                    cfg,
-                    cosine_factory(),
-                )
-            } else {
-                MutableEngine::partitioned(
-                    Arc::clone(&repo),
-                    Some(Arc::clone(&emb)),
-                    cfg,
-                    partitions,
-                    hc.seed,
-                    cosine_factory(),
-                )
-            }
+        let build = |cfg: KoiosConfig| {
+            MutableEngine::partitioned(
+                Arc::clone(&repo),
+                Some(Arc::clone(&emb)),
+                cfg,
+                partitions,
+                hc.seed,
+                cosine_factory(),
+            )
         };
         let engine = match build(cfg.clone()) {
             Ok(e) => e,
@@ -1815,7 +1815,7 @@ pub fn live_with_output(hc: &HarnessConfig, json_path: &std::path::Path) -> Stri
         let cold_backend = cold.backend();
         let live_backend = service.backend();
         let mut backend_identical =
-            live_backend.repository_arc().num_sets() == cold.repository().num_sets();
+            live_backend.repository().num_sets() == cold.repository().num_sets();
         backend_identical &= queries
             .iter()
             .all(|q| live_backend.search(q).hits == cold_backend.search(q).hits);
@@ -1942,7 +1942,7 @@ pub fn ablation(hc: &HarnessConfig) -> String {
         cfg.iub_filter = iub;
         cfg.no_em_filter = false; // exact scores for the agreement check
         cfg.time_budget = Some(hc.timeout);
-        let outcomes = run_single(&run, cfg);
+        let outcomes = run_engine(&run, cfg, 1, 0);
         let time = avg(outcomes
             .iter()
             .map(|o| o.result.stats.response_time().as_secs_f64()));
@@ -2040,10 +2040,15 @@ mod tests {
             out.contains("identical to the 1-shard reference: true"),
             "{out}"
         );
+        assert!(
+            out.contains("identical to the direct engine with No-EM on: true"),
+            "{out}"
+        );
         assert!(out.contains("qps"));
         let json = std::fs::read_to_string(&json_path).unwrap();
         assert!(json.contains("\"experiment\":\"partitioned\""));
         assert!(json.contains("\"identical\":true"));
+        assert!(json.contains("\"identical_full\":true"));
         // Every cell scraped its service registry into the artifact.
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"stage_refine\""));

@@ -1,9 +1,9 @@
-//! Corpus/benchmark plumbing shared by the harness and the criterion
-//! benches.
+//! Corpus/benchmark plumbing shared by the harness experiments.
 
 use koios_datagen::benchmark::QueryBenchmark;
 use koios_datagen::corpus::Corpus;
 use koios_datagen::profiles::DatasetProfile;
+use koios_embed::repository::Repository;
 use koios_embed::sim::{CosineSimilarity, ElementSimilarity};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -22,6 +22,8 @@ pub struct ProfileRun {
     pub profile: DatasetProfile,
     /// The generated corpus (shared across cached runs).
     pub corpus: Arc<Corpus>,
+    /// The corpus repository as engines take it, built once per run.
+    pub repo: Arc<Repository>,
     /// Cosine element similarity over the corpus embeddings.
     pub sim: Arc<dyn ElementSimilarity>,
     /// The query workload.
@@ -45,6 +47,7 @@ pub fn setup_profile(profile: DatasetProfile, query_seed: u64) -> ProfileRun {
     let benchmark = profile.benchmark(&corpus, query_seed);
     ProfileRun {
         profile,
+        repo: Arc::new(corpus.repository.clone()),
         corpus: Arc::new(corpus),
         sim,
         benchmark,

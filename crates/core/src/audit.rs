@@ -124,8 +124,9 @@ mod tests {
     #[test]
     fn real_search_results_audit_valid() {
         let (repo, q) = setup();
+        let repo = Arc::new(repo);
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
         );

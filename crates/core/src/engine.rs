@@ -8,16 +8,16 @@ use crate::result::SearchResult;
 use crate::stats::SearchStats;
 use crate::theta::SharedTheta;
 use koios_common::{profile, HeapSize, SetId, TokenId};
-use koios_embed::repository::{RepoRef, Repository};
+use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
-use koios_index::knn::ExactScanKnn;
+use koios_index::knn::{ExactScanKnn, KnnSource};
 use koios_index::knn_cache::CachedKnn;
 use koios_index::token_stream::TokenStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// An exact top-k semantic overlap search engine over one repository.
+/// An exact top-k semantic overlap search engine over one inverted index.
 ///
 /// A search runs the paper's Fig. 2 pipeline, stage by stage:
 ///
@@ -34,23 +34,44 @@ use std::time::Instant;
 ///    membership without matching, remaining sets run the Hungarian
 ///    algorithm with label-sum early termination (Lemma 8).
 ///
-/// The engine is cheap to clone — it shares the repository (borrowed or
-/// `Arc`-owned, see [`RepoRef`]), the inverted index and the similarity
-/// function — and a single engine serves any number of queries. Construct
-/// it from `&Repository` for the classic lifetime-bound embedding, or from
-/// `Arc<Repository>` for an owned `Koios<'static>` that long-lived services
-/// can move across threads.
+/// The engine owns (shares ownership of) its repository, so it is
+/// `'static` and can move across threads. It is cheap to clone — the
+/// repository, the inverted index and the similarity function are all
+/// behind `Arc`s — and one engine serves any number of queries. An
+/// [`EngineBackend`](crate::EngineBackend) runs one `Koios` per shard.
 #[derive(Clone)]
-pub struct Koios<'r> {
-    repo: RepoRef<'r>,
+pub struct Koios {
+    repo: Arc<Repository>,
     sim: Arc<dyn ElementSimilarity>,
     index: Arc<InvertedIndex>,
     cfg: KoiosConfig,
 }
 
-/// An engine that owns (shares ownership of) its repository — what a
-/// long-lived serving layer holds.
-pub type OwnedKoios = Koios<'static>;
+/// What one search shares with its caller: the pruning threshold `θlb`
+/// and an absolute deadline.
+///
+/// The shards of one query share a single [`SharedTheta`], so a lower
+/// bound proven in any shard prunes candidates in every other (§VI). The
+/// deadline is absolute, unlike the relative [`KoiosConfig::time_budget`]:
+/// the earlier of the two bounds the search, and expiry returns partial
+/// results with `stats.timed_out = true`.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchCtx<'a> {
+    /// The pruning threshold `θlb`, raised by every search that shares it.
+    pub theta: &'a SharedTheta,
+    /// The absolute deadline, if any.
+    pub deadline: Option<Instant>,
+}
+
+impl<'a> SearchCtx<'a> {
+    /// A context over `theta` with no deadline.
+    pub fn new(theta: &'a SharedTheta) -> Self {
+        SearchCtx {
+            theta,
+            deadline: None,
+        }
+    }
+}
 
 /// Combines an absolute caller deadline with a relative configuration
 /// budget: whichever expires first bounds the search.
@@ -65,29 +86,24 @@ pub(crate) fn effective_deadline(
     }
 }
 
-impl<'r> Koios<'r> {
-    /// Builds the inverted index and wires up an engine over a borrowed
-    /// (`&Repository`) or owned (`Arc<Repository>`) repository.
-    pub fn new(
-        repo: impl Into<RepoRef<'r>>,
-        sim: Arc<dyn ElementSimilarity>,
-        cfg: KoiosConfig,
-    ) -> Self {
-        let repo = repo.into();
-        let index = Arc::new(InvertedIndex::build(repo.get()));
+impl Koios {
+    /// Builds the inverted index over every live set and wires up an
+    /// engine.
+    pub fn new(repo: Arc<Repository>, sim: Arc<dyn ElementSimilarity>, cfg: KoiosConfig) -> Self {
+        let index = Arc::new(InvertedIndex::build(&repo));
         Self::with_index(repo, sim, index, cfg)
     }
 
-    /// Wires up an engine over a pre-built (possibly partition-restricted)
+    /// Wires up an engine over a pre-built (possibly shard-restricted)
     /// inverted index.
     pub fn with_index(
-        repo: impl Into<RepoRef<'r>>,
+        repo: Arc<Repository>,
         sim: Arc<dyn ElementSimilarity>,
         index: Arc<InvertedIndex>,
         cfg: KoiosConfig,
     ) -> Self {
         Koios {
-            repo: repo.into(),
+            repo,
             sim,
             index,
             cfg,
@@ -99,10 +115,8 @@ impl<'r> Koios<'r> {
     /// overrides in serving layers are this cheap).
     pub fn with_config(&self, cfg: KoiosConfig) -> Self {
         Koios {
-            repo: self.repo.clone(),
-            sim: Arc::clone(&self.sim),
-            index: Arc::clone(&self.index),
             cfg,
+            ..self.clone()
         }
     }
 
@@ -111,69 +125,31 @@ impl<'r> Koios<'r> {
         &self.cfg
     }
 
-    /// The similarity function.
-    pub fn similarity(&self) -> &Arc<dyn ElementSimilarity> {
-        &self.sim
-    }
-
-    /// The inverted index (shared with partition siblings).
+    /// The inverted index (shared with config siblings).
     pub fn index(&self) -> &Arc<InvertedIndex> {
         &self.index
     }
 
     /// The repository.
-    pub fn repository(&self) -> &Repository {
-        self.repo.get()
-    }
-
-    /// Shared ownership of the repository (see [`RepoRef::to_arc`]).
-    pub fn repository_arc(&self) -> std::sync::Arc<Repository> {
-        self.repo.to_arc()
+    pub fn repository(&self) -> &Arc<Repository> {
+        &self.repo
     }
 
     /// Runs a top-k search for `query` (token ids from
-    /// [`Repository::intern_query`]).
+    /// [`Repository::intern_query`]) with a fresh `θlb`, bounded only by
+    /// the configuration's [`KoiosConfig::time_budget`].
     pub fn search(&self, query: &[TokenId]) -> SearchResult {
-        self.search_shared(query, &SharedTheta::new())
+        self.search_with(query, &SearchCtx::new(&SharedTheta::new()))
     }
 
-    /// Runs a top-k search that must finish by `deadline` (an *absolute*
-    /// instant, unlike the relative [`KoiosConfig::time_budget`]).
-    ///
-    /// Serving layers use this to make a request deadline cover queue time
-    /// plus search time without mutating the engine configuration. When the
-    /// configuration also carries a `time_budget`, the earlier of the two
-    /// limits wins. Expiry returns partial results with
-    /// `stats.timed_out = true`, exactly like a budget expiry.
-    pub fn search_with_deadline(
-        &self,
-        query: &[TokenId],
-        deadline: Option<Instant>,
-    ) -> SearchResult {
-        self.search_shared_deadline(query, &SharedTheta::new(), deadline)
-    }
-
-    /// Runs a search that publishes and consumes the shared pruning
-    /// threshold `θlb` — the partitioned-search entry point (§VI).
+    /// Runs a top-k search that publishes and consumes `ctx.theta` and
+    /// stops at `ctx.deadline` — the per-shard entry point (§VI).
     ///
     /// The default kNN source is an [`ExactScanKnn`]; when the
     /// configuration carries a [`KoiosConfig::token_cache`], the source is
     /// wrapped in a [`CachedKnn`] so per-element similarity lists are
     /// shared with every other search using the same cache.
-    pub fn search_shared(&self, query: &[TokenId], theta: &SharedTheta) -> SearchResult {
-        self.search_shared_deadline(query, theta, None)
-    }
-
-    /// [`Self::search_shared`] with an additional absolute `deadline`
-    /// (see [`Self::search_with_deadline`]): partitioned search threads one
-    /// query-wide deadline through every shard this way, so no shard can
-    /// overrun the budget the merge phase still has to fit into.
-    pub fn search_shared_deadline(
-        &self,
-        query: &[TokenId],
-        theta: &SharedTheta,
-        deadline: Option<Instant>,
-    ) -> SearchResult {
+    pub fn search_with(&self, query: &[TokenId], ctx: &SearchCtx) -> SearchResult {
         let mut q = query.to_vec();
         q.sort_unstable();
         q.dedup();
@@ -188,14 +164,14 @@ impl<'r> Koios<'r> {
                 // Tag entries with this engine's similarity identity so a
                 // cache shared across engines over *different* metrics can
                 // never replay the wrong lists. Clones, config siblings and
-                // partition engines share the same `Arc`, so they keep
-                // sharing entries.
+                // shard engines share the same `Arc`, so they keep sharing
+                // entries.
                 let sim_tag = cache.sim_tag(&self.sim);
                 let knn = CachedKnn::new(Arc::clone(cache), q.clone(), self.cfg.alpha, knn)
                     .with_sim_tag(sim_tag);
-                self.search_with_source_deadline(q, knn, theta, deadline)
+                self.search_with_source(q, knn, ctx)
             }
-            None => self.search_with_source_deadline(q, knn, theta, deadline),
+            None => self.search_with_source(q, knn, ctx),
         }
     }
 
@@ -212,27 +188,14 @@ impl<'r> Koios<'r> {
     /// without the refinement or post-processing stages noticing — cached
     /// lists are complete (never truncated mid-stream) and replay in the
     /// exact emission order, preserving exact top-k semantics. When the
-    /// source reports cache counters
-    /// ([`koios_index::knn::KnnSource::cache_counters`]), they are folded
-    /// into [`SearchStats::knn_cache`](crate::stats::SearchStats::knn_cache).
-    pub fn search_with_source<K: koios_index::knn::KnnSource>(
+    /// source reports cache counters ([`KnnSource::cache_counters`]), they
+    /// are folded into
+    /// [`SearchStats::knn_cache`](crate::stats::SearchStats::knn_cache).
+    pub fn search_with_source<K: KnnSource>(
         &self,
         q: Vec<TokenId>,
         source: K,
-        theta: &SharedTheta,
-    ) -> SearchResult {
-        self.search_with_source_deadline(q, source, theta, None)
-    }
-
-    /// [`Self::search_with_source`] with an additional absolute `deadline`
-    /// (see [`Self::search_with_deadline`]); the earlier of the deadline and
-    /// the configuration's relative `time_budget` bounds the search.
-    pub fn search_with_source_deadline<K: koios_index::knn::KnnSource>(
-        &self,
-        q: Vec<TokenId>,
-        source: K,
-        theta: &SharedTheta,
-        deadline: Option<Instant>,
+        ctx: &SearchCtx,
     ) -> SearchResult {
         debug_assert!(q.windows(2).all(|w| w[0] < w[1]), "query must be sorted");
         let mut stats = SearchStats {
@@ -246,13 +209,14 @@ impl<'r> Koios<'r> {
                 stats,
             };
         }
-        let deadline = effective_deadline(deadline, self.cfg.time_budget);
+        let theta = ctx.theta;
+        let deadline = effective_deadline(ctx.deadline, self.cfg.time_budget);
 
         let t0 = Instant::now();
         let stage = profile::enter(profile::Stage::Refine);
         let mut stream = TokenStream::new(source, q.len());
         let RefineOutput { survivors, mut llb } = refine(
-            self.repo.get(),
+            &self.repo,
             &self.index,
             &q,
             &self.cfg,
@@ -275,15 +239,7 @@ impl<'r> Koios<'r> {
         let t1 = Instant::now();
         let _stage = profile::enter(profile::Stage::Postprocess);
         let hits = postprocess(
-            self.repo.get(),
-            &self.sim,
-            &q,
-            &self.cfg,
-            theta,
-            &mut llb,
-            survivors,
-            &mut stats,
-            deadline,
+            &self.repo, &self.sim, &q, &self.cfg, theta, &mut llb, survivors, &mut stats, deadline,
         );
         stats.postprocess_time = t1.elapsed();
         stats.memory.add("inverted index", self.index.heap_size());
@@ -303,7 +259,7 @@ impl<'r> Koios<'r> {
         let mut q = query.to_vec();
         q.sort_unstable();
         q.dedup();
-        semantic_overlap(self.repo.get(), self.sim.as_ref(), self.cfg.alpha, &q, set)
+        semantic_overlap(&self.repo, self.sim.as_ref(), self.cfg.alpha, &q, set)
     }
 }
 
@@ -314,21 +270,21 @@ mod tests {
     use koios_embed::repository::RepositoryBuilder;
     use koios_embed::sim::{EqualitySimilarity, QGramJaccard};
 
-    fn vanilla_repo() -> Repository {
+    fn vanilla_repo() -> Arc<Repository> {
         let mut b = RepositoryBuilder::new();
         b.add_set("s0", ["a", "b", "c", "d"]);
         b.add_set("s1", ["a", "b", "c", "x"]);
         b.add_set("s2", ["a", "b", "y", "z"]);
         b.add_set("s3", ["a", "m", "n", "o"]);
         b.add_set("s4", ["w", "v", "u", "t"]);
-        b.build()
+        Arc::new(b.build())
     }
 
     #[test]
     fn equality_similarity_matches_vanilla_topk() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.99),
         );
@@ -343,7 +299,7 @@ mod tests {
     fn search_is_deterministic() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
         );
@@ -357,7 +313,7 @@ mod tests {
     fn empty_query_returns_empty() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
         );
@@ -366,34 +322,28 @@ mod tests {
     }
 
     #[test]
-    fn owned_engine_is_static_and_agrees_with_borrowed() {
+    fn engine_is_static_and_searches_from_any_thread() {
         let repo = vanilla_repo();
         let q = repo.intern_query(["a", "b", "c", "d"]);
-        let borrowed = Koios::new(
-            &repo,
+        let engine = Koios::new(
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
         );
-        let expect = borrowed.search(&q);
-
-        let owned: OwnedKoios = Koios::new(
-            Arc::new(repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(3, 0.9),
-        );
+        let expect = engine.search(&q);
         // `'static`: the engine can move into a spawned thread.
         let qc = q.clone();
-        let got = std::thread::spawn(move || owned.search(&qc))
+        let got = std::thread::spawn(move || engine.search(&qc))
             .join()
             .unwrap();
-        assert_eq!(got.set_ids(), expect.set_ids());
+        assert_eq!(got.hits, expect.hits);
     }
 
     #[test]
     fn with_config_shares_index_and_repo() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
         );
@@ -410,9 +360,9 @@ mod tests {
         b.add_set("clean", ["Blaine", "Charleston"]);
         b.add_set("dirty", ["Blain", "Charlestown"]);
         b.add_set("other", ["Zebra", "Yak"]);
-        let repo = b.build();
+        let repo = Arc::new(b.build());
         let sim = Arc::new(QGramJaccard::new(&repo, 3));
-        let engine = Koios::new(&repo, sim, KoiosConfig::new(2, 0.5));
+        let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5));
         let q = repo.intern_query(["Blaine", "Charleston"]);
         let res = engine.search(&q);
         assert_eq!(res.hits.len(), 2);
@@ -427,13 +377,13 @@ mod tests {
         let repo = vanilla_repo();
         let q = repo.intern_query(["a", "b", "c", "d"]);
         let sound = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
         )
         .search(&q);
         let paper = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9).with_ub_mode(UbMode::PaperGreedy),
         )
@@ -445,7 +395,7 @@ mod tests {
     fn baseline_config_verifies_everything() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9).baseline(),
         );
@@ -466,12 +416,12 @@ mod tests {
         b.add_set("clean", ["Blaine", "Charleston", "Columbia"]);
         b.add_set("dirty", ["Blain", "Charlestown", "Columbias"]);
         b.add_set("other", ["Zebra", "Yak", "Gnu"]);
-        let repo = b.build();
+        let repo = Arc::new(b.build());
         let sim = Arc::new(QGramJaccard::new(&repo, 3));
-        let plain = Koios::new(&repo, sim.clone(), KoiosConfig::new(2, 0.4));
+        let plain = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(2, 0.4));
         let cache = Arc::new(TokenKnnCache::new(1 << 20));
         let caching = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             sim,
             KoiosConfig::new(2, 0.4).with_token_cache(Arc::clone(&cache)),
         );
@@ -501,7 +451,7 @@ mod tests {
     fn stats_phases_are_populated() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(1, 0.9),
         );

@@ -1,7 +1,7 @@
 //! A long-lived, core-count-sized executor for shard search tasks.
 //!
-//! Partitioned search used to spawn one OS thread per shard per query
-//! (`std::thread::scope` in [`crate::partitioned::PartitionedKoios`]) — at
+//! Sharded search used to spawn one OS thread per shard per query
+//! (`std::thread::scope` in the partitioned engine) — at
 //! serving concurrency that is `workers × shards` thread spawns per batch,
 //! and the spawn/join cost plus oversubscription was the first of the three
 //! serializers the ROADMAP scaling item names. [`ShardExecutor`] replaces it

@@ -13,8 +13,11 @@
 //!    membership without matching, and the Hungarian runs abort early once
 //!    their label-sum falls under `θlb` (Lemma 8).
 //!
-//! [`PartitionedKoios`] scales out by sharding the repository and sharing a
-//! global monotone `θlb` across partition searches (§VI).
+//! [`EngineBackend`] is the one engine shape a caller owns: `p ≥ 1` shard
+//! indexes, one [`Koios`] per shard, searched under a shared global
+//! monotone `θlb` and merged with the No-EM filter applied over the merged
+//! pool (§VI, [`partitioned`]). At `p = 1` it does exactly the work of a
+//! single `Koios`.
 //!
 //! See `DESIGN.md` §2 for the soundness correction applied to the paper's
 //! iUB bound ([`UbMode`]).
@@ -39,7 +42,7 @@ pub mod theta;
 pub use audit::{audit_result, AuditOutcome};
 pub use backend::EngineBackend;
 pub use config::{KoiosConfig, UbMode};
-pub use engine::{Koios, OwnedKoios};
+pub use engine::{Koios, SearchCtx};
 pub use executor::ShardExecutor;
 pub use many_to_one::{bounded_many_to_one_overlap, many_to_one_overlap};
 pub use mutable::{cosine_factory, BatchRejected, MutableEngine, SimFactory};
@@ -47,7 +50,6 @@ pub use overlap::{
     greedy_overlap, semantic_overlap, semantic_overlap_bounded,
     semantic_overlap_bounded_with_effort, similarity_matrix, MatchingEffort,
 };
-pub use partitioned::{OwnedPartitionedKoios, PartitionedKoios};
 pub use result::{Hit, ScoreBound, SearchResult};
 pub use stats::{FunnelCounts, SearchStats, ShardFunnel};
 pub use theta::SharedTheta;

@@ -1,8 +1,8 @@
 //! A mutable engine: live corpus mutation with immutable serving backends.
 //!
-//! The query path ([`Koios`] / [`PartitionedKoios`]) is deliberately
-//! immutable — an engine borrows frozen state and can therefore be searched
-//! from many threads without locks. [`MutableEngine`] is the *writer side*
+//! The query path ([`EngineBackend`]) is deliberately immutable — an
+//! engine shares frozen state and can therefore be searched from many
+//! threads without locks. [`MutableEngine`] is the *writer side*
 //! of that bargain: it owns the canonical corpus state behind [`Arc`]s,
 //! applies [`CorpusOp`] batches through the shared
 //! [`koios_index::live::apply_op`] primitive, and mints a fresh, frozen
@@ -36,10 +36,8 @@
 //! `TokenKnnCache`, its generation is bumped too — cached token-kNN lists
 //! are invalidated exactly when the corpus changes, never sooner.
 
-use crate::backend::EngineBackend;
+use crate::backend::{shard_indexes, EngineBackend};
 use crate::config::KoiosConfig;
-use crate::engine::Koios;
-use crate::partitioned::PartitionedKoios;
 use koios_common::fingerprint::partition_of;
 use koios_common::SetId;
 use koios_embed::ops::CorpusOp;
@@ -48,7 +46,7 @@ use koios_embed::sim::{CosineSimilarity, ElementSimilarity};
 use koios_embed::vectors::Embeddings;
 use koios_index::inverted::InvertedIndex;
 use koios_index::live::{apply_op, Applied, LiveError};
-use koios_store::snapshot::{SectionKind, SnapshotLayout, SnapshotMeta, SnapshotState, StoreError};
+use koios_store::snapshot::{SectionKind, SnapshotMeta, SnapshotState, StoreError};
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -98,23 +96,17 @@ impl std::error::Error for BatchRejected {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Layout {
-    Single,
-    Partitioned { partitions: usize, seed: u64 },
-}
-
 /// Owner of live corpus state; mints immutable [`EngineBackend`]s.
 ///
 /// See the [module docs](self) for the mutation contract. Constructed over
-/// in-memory state ([`MutableEngine::single`] /
-/// [`MutableEngine::partitioned`]) or from a snapshot
-/// ([`MutableEngine::from_snapshot`] / [`MutableEngine::from_state`]).
+/// in-memory state ([`MutableEngine::partitioned`], `p ≥ 1`) or from a
+/// snapshot ([`MutableEngine::from_snapshot`] /
+/// [`MutableEngine::from_state`]).
 pub struct MutableEngine {
     repo: Arc<Repository>,
     embeddings: Option<Arc<Embeddings>>,
     indexes: Vec<Arc<InvertedIndex>>,
-    layout: Layout,
+    seed: u64,
     cfg: KoiosConfig,
     sim_factory: SimFactory,
     epoch: u64,
@@ -122,30 +114,11 @@ pub struct MutableEngine {
 
 impl MutableEngine {
     /// Wraps a repository (plus optional token vectors) as a mutable
-    /// single-index engine, building the inverted index here. Fails only if
-    /// `sim_factory` rejects the state (e.g. [`cosine_factory`] without
+    /// engine over `partitions ≥ 1` inverted indexes, with sets routed by
+    /// the workspace shard function
+    /// (`koios_common::fingerprint::partition_of`) under `seed`. Fails only
+    /// if `sim_factory` rejects the state (e.g. [`cosine_factory`] without
     /// embeddings).
-    pub fn single(
-        repo: Arc<Repository>,
-        embeddings: Option<Arc<Embeddings>>,
-        cfg: KoiosConfig,
-        sim_factory: SimFactory,
-    ) -> Result<Self, StoreError> {
-        let index = Arc::new(InvertedIndex::build(&repo));
-        Self::assemble(
-            repo,
-            embeddings,
-            vec![index],
-            Layout::Single,
-            cfg,
-            sim_factory,
-            0,
-        )
-    }
-
-    /// Like [`MutableEngine::single`], but sharded: `partitions` inverted
-    /// indexes with sets routed by the workspace shard function
-    /// (`koios_common::fingerprint::partition_of`) under `seed`.
     pub fn partitioned(
         repo: Arc<Repository>,
         embeddings: Option<Arc<Embeddings>>,
@@ -154,19 +127,8 @@ impl MutableEngine {
         seed: u64,
         sim_factory: SimFactory,
     ) -> Result<Self, StoreError> {
-        assert!(partitions > 0, "need at least one partition");
-        let indexes = (0..partitions)
-            .map(|shard| {
-                Arc::new(InvertedIndex::build_subset(
-                    &repo,
-                    repo.live_sets()
-                        .map(|(id, _)| id)
-                        .filter(|&id| partition_of(seed, id, partitions) == shard),
-                ))
-            })
-            .collect();
-        let layout = Layout::Partitioned { partitions, seed };
-        Self::assemble(repo, embeddings, indexes, layout, cfg, sim_factory, 0)
+        let indexes = shard_indexes(&repo, partitions, seed);
+        Self::assemble(repo, embeddings, indexes, seed, cfg, sim_factory, 0)
     }
 
     /// Restores a mutable engine from a snapshot under cosine similarity
@@ -185,9 +147,9 @@ impl MutableEngine {
 
     /// Wires a mutable engine from already-restored snapshot state with a
     /// caller-chosen similarity factory. The restored layout decides the
-    /// backend variant; the engine's epoch starts at
-    /// [`SnapshotMeta::latest_epoch`] so epochs keep rising across a
-    /// snapshot round-trip. Any restored MinHash index is dropped — it
+    /// shard count (a single-layout snapshot restores as one shard); the
+    /// engine's epoch starts at [`SnapshotMeta::latest_epoch`] so epochs
+    /// keep rising across a snapshot round-trip. Any restored MinHash index is dropped — it
     /// belongs to the query-planning layer, not the engine.
     pub fn from_state(
         state: SnapshotState,
@@ -201,18 +163,11 @@ impl MutableEngine {
             indexes,
             ..
         } = state;
-        let layout = match meta.layout {
-            SnapshotLayout::Single => Layout::Single,
-            SnapshotLayout::Partitioned { partitions, seed } => Layout::Partitioned {
-                partitions: partitions as usize,
-                seed,
-            },
-        };
         Self::assemble(
             Arc::new(repository),
             embeddings.map(Arc::new),
             indexes.into_iter().map(Arc::new).collect(),
-            layout,
+            meta.layout.seed(),
             cfg,
             sim_factory,
             meta.latest_epoch(),
@@ -223,7 +178,7 @@ impl MutableEngine {
         repo: Arc<Repository>,
         embeddings: Option<Arc<Embeddings>>,
         indexes: Vec<Arc<InvertedIndex>>,
-        layout: Layout,
+        seed: u64,
         cfg: KoiosConfig,
         sim_factory: SimFactory,
         epoch: u64,
@@ -236,7 +191,7 @@ impl MutableEngine {
             repo,
             embeddings,
             indexes,
-            layout,
+            seed,
             cfg,
             sim_factory,
             epoch,
@@ -287,7 +242,7 @@ impl MutableEngine {
         &self.cfg
     }
 
-    /// Number of index shards (1 for the single layout).
+    /// Number of index shards.
     pub fn num_partitions(&self) -> usize {
         self.indexes.len()
     }
@@ -303,16 +258,12 @@ impl MutableEngine {
     /// new state.
     pub fn apply(&mut self, ops: &[CorpusOp]) -> Result<Vec<Applied>, BatchRejected> {
         self.validate(ops)?;
+        let (seed, partitions) = (self.seed, self.indexes.len());
+        let route = move |id: SetId| partition_of(seed, id, partitions);
         let repo = Arc::make_mut(&mut self.repo);
         let mut emb = self.embeddings.as_mut().map(Arc::make_mut);
         let mut index_refs: Vec<&mut InvertedIndex> =
             self.indexes.iter_mut().map(Arc::make_mut).collect();
-        let route: Box<dyn Fn(SetId) -> usize> = match self.layout {
-            Layout::Single => Box::new(|_| 0),
-            Layout::Partitioned { partitions, seed } => {
-                Box::new(move |id| partition_of(seed, id, partitions))
-            }
-        };
         let mut applied = Vec::with_capacity(ops.len());
         for op in ops {
             let done = apply_op(repo, emb.as_deref_mut(), &mut index_refs, None, &route, op)
@@ -377,23 +328,13 @@ impl MutableEngine {
         let sim = (self.sim_factory)(&self.repo, self.embeddings.as_ref())
             .expect("similarity factory succeeded at construction");
         let cfg = self.cfg.clone().with_epoch(self.epoch);
-        match self.layout {
-            Layout::Single => EngineBackend::Single(Koios::with_index(
-                Arc::clone(&self.repo),
-                sim,
-                Arc::clone(&self.indexes[0]),
-                cfg,
-            )),
-            Layout::Partitioned { seed, .. } => {
-                EngineBackend::Partitioned(PartitionedKoios::from_indexes(
-                    Arc::clone(&self.repo),
-                    sim,
-                    cfg,
-                    self.indexes.clone(),
-                    seed,
-                ))
-            }
-        }
+        EngineBackend::from_indexes(
+            Arc::clone(&self.repo),
+            sim,
+            cfg,
+            self.indexes.clone(),
+            self.seed,
+        )
     }
 
     /// Writes the current state as a fresh snapshot **base** (no delta
@@ -452,8 +393,9 @@ mod tests {
     }
 
     /// Rebuilds the same end state cold: replay every op into a plain
-    /// repository + embeddings, then index from scratch.
-    fn rebuilt(engine_kind: &str) -> MutableEngine {
+    /// repository + embeddings, then index `partitions` shards from
+    /// scratch.
+    fn rebuilt(partitions: usize) -> MutableEngine {
         let (repo, emb) = corpus();
         let mut r = (*repo).clone();
         let mut e = (*emb).clone();
@@ -462,33 +404,26 @@ mod tests {
             apply_op(&mut r, Some(&mut e), &mut [&mut scratch], None, &|_| 0, &op).unwrap();
         }
         let (repo, emb) = (Arc::new(r), Arc::new(e));
-        match engine_kind {
-            "single" => {
-                MutableEngine::single(repo, Some(emb), KoiosConfig::new(3, 0.4), cosine_factory())
-                    .unwrap()
-            }
-            _ => MutableEngine::partitioned(
-                repo,
-                Some(emb),
-                KoiosConfig::new(3, 0.4),
-                3,
-                41,
-                cosine_factory(),
-            )
-            .unwrap(),
-        }
+        engine(repo, Some(emb), KoiosConfig::new(3, 0.4), partitions).unwrap()
+    }
+
+    fn engine(
+        repo: Arc<Repository>,
+        emb: Option<Arc<Embeddings>>,
+        cfg: KoiosConfig,
+        partitions: usize,
+    ) -> Result<MutableEngine, StoreError> {
+        MutableEngine::partitioned(repo, emb, cfg, partitions, 41, cosine_factory())
     }
 
     #[test]
     fn mutation_equals_cold_rebuild_single() {
         let (repo, emb) = corpus();
-        let mut live =
-            MutableEngine::single(repo, Some(emb), KoiosConfig::new(3, 0.4), cosine_factory())
-                .unwrap();
+        let mut live = engine(repo, Some(emb), KoiosConfig::new(3, 0.4), 1).unwrap();
         let applied = live.apply(&ops()).unwrap();
         assert_eq!(applied.len(), 3);
         assert!(matches!(applied[0], Applied::Inserted(SetId(4))));
-        let cold = rebuilt("single");
+        let cold = rebuilt(1);
         let q = live.repository().intern_query(["LA", "Fresno", "SC"]);
         assert_eq!(
             live.backend().search(&q).hits,
@@ -503,24 +438,12 @@ mod tests {
     #[test]
     fn mutation_equals_cold_rebuild_partitioned() {
         let (repo, emb) = corpus();
-        let mut live = MutableEngine::partitioned(
-            repo,
-            Some(emb),
-            KoiosConfig::new(3, 0.4),
-            3,
-            41,
-            cosine_factory(),
-        )
-        .unwrap();
+        let mut live = engine(repo, Some(emb), KoiosConfig::new(3, 0.4), 3).unwrap();
         live.apply(&ops()).unwrap();
-        let cold = rebuilt("partitioned");
+        let cold = rebuilt(3);
         // Shard indexes must match posting-for-posting, not just by hits.
         let (live_b, cold_b) = (live.backend(), cold.backend());
-        let (lp, cp) = (
-            live_b.as_partitioned().unwrap(),
-            cold_b.as_partitioned().unwrap(),
-        );
-        for (li, ci) in lp.indexes().iter().zip(cp.indexes().iter()) {
+        for (li, ci) in live_b.indexes().zip(cold_b.indexes()) {
             assert_eq!(li.total_postings(), ci.total_postings());
             for t in 0..li.num_tokens() as u32 {
                 assert_eq!(
@@ -536,11 +459,11 @@ mod tests {
     #[test]
     fn rejected_batches_mutate_nothing() {
         let (repo, emb) = corpus();
-        let mut live = MutableEngine::single(
+        let mut live = engine(
             Arc::clone(&repo),
             Some(Arc::clone(&emb)),
             KoiosConfig::new(3, 0.4),
-            cosine_factory(),
+            1,
         )
         .unwrap();
         // Good insert followed by a bad remove: nothing must apply.
@@ -591,7 +514,7 @@ mod tests {
         let (repo, emb) = corpus();
         let cache = Arc::new(TokenKnnCache::new(1 << 16));
         let cfg = KoiosConfig::new(3, 0.4).with_token_cache(Arc::clone(&cache));
-        let mut live = MutableEngine::single(repo, Some(emb), cfg, cosine_factory()).unwrap();
+        let mut live = engine(repo, Some(emb), cfg, 1).unwrap();
         assert_eq!(live.epoch(), 0);
         let gen0 = cache.generation();
 
@@ -624,15 +547,7 @@ mod tests {
         let path = dir.join("roundtrip.ksnap");
 
         let (repo, emb) = corpus();
-        let mut live = MutableEngine::partitioned(
-            repo,
-            Some(emb),
-            KoiosConfig::new(3, 0.4),
-            3,
-            41,
-            cosine_factory(),
-        )
-        .unwrap();
+        let mut live = engine(repo, Some(emb), KoiosConfig::new(3, 0.4), 3).unwrap();
         live.apply(&ops()).unwrap();
         live.write_snapshot(&path).unwrap();
 
@@ -661,8 +576,7 @@ mod tests {
     #[test]
     fn factory_failures_surface_at_construction() {
         let (repo, _) = corpus();
-        let err = MutableEngine::single(repo, None, KoiosConfig::new(3, 0.4), cosine_factory())
-            .unwrap_err();
+        let err = engine(repo, None, KoiosConfig::new(3, 0.4), 1).unwrap_err();
         assert!(matches!(
             err,
             StoreError::MissingSection(SectionKind::Embeddings)

@@ -1,323 +1,89 @@
-//! Partitioned (scale-out) search (paper §VI end, Fig. 7a).
+//! Sharded search and the merge (paper §VI end, Fig. 7a).
 //!
-//! The repository is sharded pseudo-randomly into `p` partitions; each
-//! partition runs a full Koios top-k search in its own thread, and all
-//! partitions share the global monotone `θlb` ([`SharedTheta`]) — a lower
-//! bound proven by any partition prunes candidates in every other. The
-//! final result merges the `k·p` partial results; hits certified by the
-//! No-EM filter (interval scores) are verified exactly at merge time so the
-//! global ranking is well-defined.
+//! Each shard of an [`EngineBackend`] runs a full Koios top-k search on the
+//! process-wide [`ShardExecutor`], and all shards share the global monotone
+//! `θlb` ([`SharedTheta`]) — a lower bound proven by any shard prunes
+//! candidates in every other. The merge then applies the No-EM filter
+//! (Lemma 7) over the merged pool of `≤ k·p` partial hits: an
+//! interval-scored hit keeps its interval when the pool holds at most `k`
+//! hits, or when its lower bound reaches the k-th largest upper bound in
+//! the pool. At `p = 1` the pool is the shard's own top-k, so the merge
+//! verifies nothing and the hits are those of a lone [`Koios`]. Across
+//! `p > 1` shards an interval depends on how the shards' `θlb` raises
+//! interleaved, so the merge verifies intervals exactly, lazily in
+//! descending upper-bound order, to keep answers deterministic.
+//!
+//! [`Koios`]: crate::Koios
 
-use crate::config::KoiosConfig;
-use crate::engine::{effective_deadline, Koios, OwnedKoios};
+use crate::backend::EngineBackend;
+use crate::engine::{effective_deadline, SearchCtx};
 use crate::executor::ShardExecutor;
-use crate::overlap::{semantic_overlap, semantic_overlap_bounded_with_effort};
+use crate::overlap::semantic_overlap_bounded_with_effort;
 use crate::result::{Hit, ScoreBound, SearchResult};
 use crate::stats::{SearchStats, ShardFunnel};
 use crate::theta::SharedTheta;
-use koios_common::{profile, SetId, TokenId};
-use koios_embed::repository::{RepoRef, Repository};
-use koios_embed::sim::ElementSimilarity;
-use koios_index::inverted::InvertedIndex;
+use koios_common::{profile, TokenId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A Koios engine fanned out over `p` repository partitions.
-///
-/// Like [`Koios`], it is constructed from either a borrowed `&Repository`
-/// or an owned `Arc<Repository>` (yielding a `'static` engine for serving
-/// layers).
-#[derive(Clone)]
-pub struct PartitionedKoios<'r> {
-    repo: RepoRef<'r>,
-    sim: Arc<dyn ElementSimilarity>,
-    cfg: KoiosConfig,
-    indexes: Vec<Arc<InvertedIndex>>,
-    seed: u64,
-    engines: ShardEngines<'r>,
-}
-
-/// Pre-built per-shard engines, constructed **once** at partition build /
-/// snapshot-load / reconfiguration time and reused read-mostly by every
-/// request (they carry the partition's config with the relative
-/// `time_budget` cleared — shards receive the query's absolute deadline
-/// instead, so the budget is never double-applied per shard).
-///
-/// The variant records how shard searches run: an `Arc`-owned repository
-/// yields `'static` engines that queries dispatch onto the process-wide
-/// [`ShardExecutor`] (no per-request thread spawn); a lifetime-bound borrow
-/// cannot cross into persistent threads, so the classic single-query
-/// embedding keeps per-query scoped threads.
-#[derive(Clone)]
-enum ShardEngines<'r> {
-    /// `'static` engines on the shared executor (the serving path).
-    Owned(Vec<Arc<OwnedKoios>>),
-    /// Lifetime-bound engines searched on per-query scoped threads.
-    Borrowed(Vec<Koios<'r>>),
-}
-
-impl<'r> ShardEngines<'r> {
-    fn build(
-        repo: &RepoRef<'r>,
-        sim: &Arc<dyn ElementSimilarity>,
-        cfg: &KoiosConfig,
-        indexes: &[Arc<InvertedIndex>],
-    ) -> Self {
-        let mut shard_cfg = cfg.clone();
-        shard_cfg.time_budget = None;
-        match repo {
-            RepoRef::Owned(arc) => ShardEngines::Owned(
-                indexes
-                    .iter()
-                    .map(|index| {
-                        Arc::new(Koios::with_index(
-                            RepoRef::Owned(Arc::clone(arc)),
-                            Arc::clone(sim),
-                            Arc::clone(index),
-                            shard_cfg.clone(),
-                        ))
-                    })
-                    .collect(),
-            ),
-            RepoRef::Borrowed(_) => ShardEngines::Borrowed(
-                indexes
-                    .iter()
-                    .map(|index| {
-                        Koios::with_index(
-                            repo.clone(),
-                            Arc::clone(sim),
-                            Arc::clone(index),
-                            shard_cfg.clone(),
-                        )
-                    })
-                    .collect(),
-            ),
-        }
-    }
-}
-
-/// A partitioned engine that owns its repository.
-pub type OwnedPartitionedKoios = PartitionedKoios<'static>;
-
-/// Deterministic pseudo-random partition of a set id. Delegates to the
-/// workspace's single shard-assignment function so live-ingest routing
-/// (`crate::MutableEngine`) and snapshot delta replay (`koios-store`)
-/// structurally agree with build-time sharding.
-fn partition_of(seed: u64, set: SetId, partitions: usize) -> usize {
-    koios_common::fingerprint::partition_of(seed, set, partitions)
-}
-
-impl<'r> PartitionedKoios<'r> {
-    /// Shards `repo` into `partitions` pieces (seeded, deterministic) and
-    /// builds one inverted index per shard.
+impl EngineBackend {
+    /// Runs the query on every shard and merges the results.
     ///
-    /// # Panics
-    ///
-    /// Panics if `partitions == 0`.
-    pub fn new(
-        repo: impl Into<RepoRef<'r>>,
-        sim: Arc<dyn ElementSimilarity>,
-        cfg: KoiosConfig,
-        partitions: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(partitions > 0, "need at least one partition");
-        let repo = repo.into();
-        let mut shards: Vec<Vec<SetId>> = vec![Vec::new(); partitions];
-        for (id, _) in repo.iter_sets() {
-            shards[partition_of(seed, id, partitions)].push(id);
-        }
-        let indexes: Vec<Arc<InvertedIndex>> = shards
-            .into_iter()
-            .map(|sets| Arc::new(InvertedIndex::build_subset(repo.get(), sets)))
-            .collect();
-        let engines = ShardEngines::build(&repo, &sim, &cfg, &indexes);
-        PartitionedKoios {
-            repo,
-            sim,
-            cfg,
-            indexes,
-            seed,
-            engines,
-        }
-    }
-
-    /// Wires up a partitioned engine over **pre-built** shard indexes — the
-    /// snapshot warm-start path (`koios-store` restores each shard's
-    /// inverted index bit-exactly, so no set assignment or index build runs
-    /// here). `seed` records the shard-assignment seed the indexes were
-    /// originally built with (observability only; the shard contents come
-    /// from the indexes themselves).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indexes` is empty.
-    pub fn from_indexes(
-        repo: impl Into<RepoRef<'r>>,
-        sim: Arc<dyn ElementSimilarity>,
-        cfg: KoiosConfig,
-        indexes: Vec<Arc<InvertedIndex>>,
-        seed: u64,
-    ) -> Self {
-        assert!(!indexes.is_empty(), "need at least one partition index");
-        let repo = repo.into();
-        let engines = ShardEngines::build(&repo, &sim, &cfg, &indexes);
-        PartitionedKoios {
-            repo,
-            sim,
-            cfg,
-            indexes,
-            seed,
-            engines,
-        }
-    }
-
-    /// The repository.
-    pub fn repository(&self) -> &Repository {
-        self.repo.get()
-    }
-
-    /// Shared ownership of the repository (see [`RepoRef::to_arc`]).
-    pub fn repository_arc(&self) -> std::sync::Arc<Repository> {
-        self.repo.to_arc()
-    }
-
-    /// The engine configuration (shared by every shard search).
-    pub fn config(&self) -> &KoiosConfig {
-        &self.cfg
-    }
-
-    /// The similarity function.
-    pub fn similarity(&self) -> &Arc<dyn ElementSimilarity> {
-        &self.sim
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.indexes.len()
-    }
-
-    /// The per-shard inverted indexes, in shard order (what a snapshot
-    /// serializes).
-    pub fn indexes(&self) -> &[Arc<InvertedIndex>] {
-        &self.indexes
-    }
-
-    /// The deterministic shard-assignment seed this engine was built with.
-    pub fn partition_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// A sibling over the same repository, similarity and shard indexes but
-    /// a different configuration (no index rebuild — per-request `k`/`α`
-    /// overrides in serving layers are this cheap, mirroring
-    /// [`Koios::with_config`]; the shard engines are rebuilt from the
-    /// shared indexes, which is a handful of `Arc` bumps per shard).
-    pub fn with_config(&self, cfg: KoiosConfig) -> Self {
-        let engines = ShardEngines::build(&self.repo, &self.sim, &cfg, &self.indexes);
-        PartitionedKoios {
-            repo: self.repo.clone(),
-            sim: Arc::clone(&self.sim),
-            cfg,
-            indexes: self.indexes.clone(),
-            seed: self.seed,
-            engines,
-        }
-    }
-
-    /// The exact semantic overlap of `query` with one set (verification
-    /// without any filtering; mirrors [`Koios::exact_overlap`]).
-    pub fn exact_overlap(&self, query: &[TokenId], set: SetId) -> f64 {
-        let mut q = query.to_vec();
-        q.sort_unstable();
-        q.dedup();
-        semantic_overlap(self.repo.get(), self.sim.as_ref(), self.cfg.alpha, &q, set)
-    }
-
-    /// Runs the query on all partitions in parallel and merges the results.
-    ///
-    /// The configuration's relative [`KoiosConfig::time_budget`] (when set)
-    /// starts counting here and bounds shards *and* merge; see
+    /// The configuration's relative [`KoiosConfig::time_budget`](crate::KoiosConfig::time_budget)
+    /// (when set) starts counting here and bounds shards *and* merge; see
     /// [`Self::search_with_deadline`] for the absolute-deadline variant
     /// serving layers use.
     pub fn search(&self, query: &[TokenId]) -> SearchResult {
         self.search_with_deadline(query, None)
     }
 
-    /// Runs the query on all partitions in parallel, bounded by an
-    /// *absolute* deadline, and merges the results deadline-safely.
+    /// Runs the query on every shard, bounded by an *absolute* deadline,
+    /// and merges the results deadline-safely.
     ///
     /// The deadline (combined with the configuration's relative
     /// `time_budget` — the earlier limit wins) is threaded through every
     /// shard search **and** the merge phase, so a request whose budget
     /// expires mid-merge stops doing exact-verification work immediately
     /// instead of burning unbounded time after timing out. Hits left
-    /// unverified by an expiry keep their certified interval scores
-    /// ([`ScoreBound::Range`]) and the result honestly reports
-    /// `stats.timed_out = true`; complete runs return exact scores only.
+    /// unverified by an expiry keep their interval scores
+    /// ([`ScoreBound::Range`]) and the result reports
+    /// `stats.timed_out = true`.
     pub fn search_with_deadline(
         &self,
         query: &[TokenId],
         deadline: Option<Instant>,
     ) -> SearchResult {
         let deadline = effective_deadline(deadline, self.cfg.time_budget);
-        // The pre-built shard engines already carry this partition's config
-        // with the relative budget cleared; shards get the absolute
-        // deadline directly, so it is not double-applied from each shard's
-        // start time.
+        // Shard tasks run on the process-wide executor: no per-request
+        // thread spawn, total search threads stay bounded by core count
+        // across all in-flight requests, and the first task runs inline on
+        // the caller, so one shard pays no thread hop. Per-shard wall time
+        // is measured inside the task (the straggler breakdown the service
+        // surfaces per partition).
         let executor_start = Instant::now();
-        let partials: Vec<(SearchResult, Duration)> = match &self.engines {
-            // Owned repository: `'static` shard tasks on the process-wide
-            // executor — no per-request thread spawn, and total search
-            // threads stay bounded by core count across all in-flight
-            // requests. Per-shard wall time is measured inside the task
-            // (the straggler breakdown `ServiceStats`/`/metrics` surface
-            // per partition).
-            ShardEngines::Owned(engines) => {
-                let theta = Arc::new(SharedTheta::new());
-                let query: Arc<[TokenId]> = Arc::from(query);
-                let tasks: Vec<_> = engines
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, engine)| {
-                        let engine = Arc::clone(engine);
-                        let theta = Arc::clone(&theta);
-                        let query = Arc::clone(&query);
-                        move || {
-                            let _stage = profile::enter_shard(profile::Stage::Shard, shard);
-                            let shard_start = Instant::now();
-                            let result = engine.search_shared_deadline(&query, &theta, deadline);
-                            (result, shard_start.elapsed())
-                        }
-                    })
-                    .collect();
-                ShardExecutor::global().run(tasks)
-            }
-            // Borrowed repository: the engines cannot outlive the borrow,
-            // so the classic single-query embedding keeps scoped threads.
-            ShardEngines::Borrowed(engines) => {
-                let theta = SharedTheta::new();
-                std::thread::scope(|sc| {
-                    let handles: Vec<_> = engines
-                        .iter()
-                        .enumerate()
-                        .map(|(shard, engine)| {
-                            let theta = &theta;
-                            sc.spawn(move || {
-                                let _stage = profile::enter_shard(profile::Stage::Shard, shard);
-                                let shard_start = Instant::now();
-                                let result = engine.search_shared_deadline(query, theta, deadline);
-                                (result, shard_start.elapsed())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("partition search panicked"))
-                        .collect()
-                })
-            }
-        };
+        let theta = Arc::new(SharedTheta::new());
+        let query: Arc<[TokenId]> = Arc::from(query);
+        let tasks: Vec<_> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(shard, engine)| {
+                let engine = Arc::clone(engine);
+                let theta = Arc::clone(&theta);
+                let query = Arc::clone(&query);
+                move || {
+                    let _stage = profile::enter_shard(profile::Stage::Shard, shard);
+                    let shard_start = Instant::now();
+                    let ctx = SearchCtx {
+                        theta: &theta,
+                        deadline,
+                    };
+                    let result = engine.search_with(&query, &ctx);
+                    (result, shard_start.elapsed())
+                }
+            })
+            .collect();
+        let partials: Vec<(SearchResult, Duration)> = ShardExecutor::global().run(tasks);
         // Submission → last partial back: shard queue wait + shard search
         // (the `executor` span of a request trace).
         let executor_time = executor_start.elapsed();
@@ -340,17 +106,23 @@ impl<'r> PartitionedKoios<'r> {
             shard_times.push(shard_time);
             pool.extend(partial.hits);
         }
-        if let Some(f) = stats.funnel_mut() {
-            f.shards = shard_rows;
-        }
-        // Assigned (not merged): each entry is one shard of *this* search.
-        stats.shard_times = shard_times;
-        stats.executor_time = executor_time;
         let merge_start = Instant::now();
         let merge_stage = profile::enter(profile::Stage::Merge);
         let hits = self.merge_partials(&q, pool, deadline, &mut stats);
         drop(merge_stage);
-        stats.merge_time = merge_start.elapsed();
+        // The fan-out figures describe fan-out: one shard has none (its
+        // merge only re-sorts its own hits), so they stay zero and empty,
+        // as for a lone `Koios` search.
+        if self.shards.len() > 1 {
+            if let Some(f) = stats.funnel_mut() {
+                f.shards = shard_rows;
+            }
+            // Assigned (not merged): each entry is one shard of *this*
+            // search.
+            stats.shard_times = shard_times;
+            stats.executor_time = executor_time;
+            stats.merge_time = merge_start.elapsed();
+        }
         let returned = hits.len();
         if let Some(f) = stats.funnel_mut() {
             f.returned = returned;
@@ -360,16 +132,18 @@ impl<'r> PartitionedKoios<'r> {
 
     /// Merges the `≤ k·p` partial hits into the global top-k.
     ///
-    /// Partitions are disjoint, so every set appears at most once; the only
-    /// merge-time work is resolving interval-scored hits (certified by the
-    /// No-EM filter inside their shard) into exact scores so the global
-    /// ranking is well-defined. Hits are verified lazily in descending
-    /// upper-bound order, and verification stops early once the k-th best
-    /// exact score dominates every remaining upper bound — at that point no
-    /// unverified hit can enter the top-k. Before each verification the
-    /// deadline is checked; on expiry the remaining hits keep their
-    /// interval scores and `timed_out` is set.
-    fn merge_partials(
+    /// Shards are disjoint, so every set appears at most once. On one
+    /// shard, an interval-scored hit (certified by the No-EM filter inside
+    /// the shard) keeps its interval when Lemma 7 also holds over the
+    /// merged pool: the pool holds at most `k` hits, or the hit's lower
+    /// bound reaches the k-th largest upper bound in the pool — the test
+    /// post-processing applies inside a shard. Every other interval is
+    /// verified exactly, lazily in descending upper-bound order, and
+    /// verification stops once the k-th best lower bound beats every
+    /// remaining upper bound. Before each verification the deadline is
+    /// checked; on expiry the remaining hits keep their intervals and
+    /// `timed_out` is set.
+    pub(crate) fn merge_partials(
         &self,
         q: &[TokenId],
         mut pool: Vec<Hit>,
@@ -377,8 +151,8 @@ impl<'r> PartitionedKoios<'r> {
         stats: &mut SearchStats,
     ) -> Vec<Hit> {
         // Descending UB, ties by set id — both the verification schedule
-        // and the final report order. A hit's exact score can only be at or
-        // below its UB, so once k exact scores strictly beat `pool[i].ub()`
+        // and the final report order. A hit's score can only be at or
+        // below its UB, so once k lower bounds strictly beat `pool[i].ub()`
         // the suffix from `i` is out.
         fn rank(a: &Hit, b: &Hit) -> std::cmp::Ordering {
             b.score
@@ -390,7 +164,22 @@ impl<'r> PartitionedKoios<'r> {
         pool.sort_by(rank);
 
         let k = self.cfg.k;
-        // The k best exact scores so far, ascending (element 0 is the bar
+        // Lemma 7's θub over the merged pool: every set outside the pool
+        // scores at most its shard's k-th upper bound, hence at most this,
+        // and a pool of at most k hits is the top-k outright. The test
+        // needs intervals that do not depend on thread scheduling. One
+        // shard fixes its intervals under its own θlb; across p > 1 shards
+        // they depend on how the shards' θlb raises interleave, so there
+        // the merge resolves them to exact scores and the answer stays
+        // deterministic.
+        let theta_ub = if self.shards.len() > 1 {
+            f64::INFINITY
+        } else if pool.len() <= k {
+            f64::NEG_INFINITY
+        } else {
+            pool[k - 1].score.ub()
+        };
+        // The k best lower bounds so far, ascending (element 0 is the bar
         // an unverified hit must clear).
         let mut best: Vec<f64> = Vec::with_capacity(k + 1);
         let mut resolved: Vec<Hit> = Vec::new();
@@ -398,17 +187,18 @@ impl<'r> PartitionedKoios<'r> {
         for (i, hit) in pool.iter().enumerate() {
             if best.len() == k && best[0] > hit.score.ub() {
                 // Top-k certain: every remaining UB sits strictly under the
-                // k-th best exact score. Exact UB ties are still verified —
+                // k-th best lower bound. Exact UB ties are still verified —
                 // a tied hit with a smaller set id must win the final
                 // tie-break exactly as it would in an exhaustive merge.
                 break;
             }
-            let exact = match hit.score {
-                ScoreBound::Exact(s) => s,
+            let score = match hit.score {
+                ScoreBound::Exact(s) => ScoreBound::Exact(s),
+                ScoreBound::Range { lb, .. } if lb >= theta_ub => hit.score,
                 ScoreBound::Range { .. } => {
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         // Budget exhausted: no further exact matchings.
-                        // Surface the suffix as certified intervals.
+                        // Surface the suffix as intervals.
                         stats.timed_out = true;
                         merged.extend_from_slice(&pool[i..]);
                         break;
@@ -416,7 +206,7 @@ impl<'r> PartitionedKoios<'r> {
                     stats.em_full += 1; // merge-time verification
                     let verify_start = Instant::now();
                     let (outcome, effort) = semantic_overlap_bounded_with_effort(
-                        self.repo.get(),
+                        &self.repo,
                         self.sim.as_ref(),
                         self.cfg.alpha,
                         q,
@@ -430,15 +220,16 @@ impl<'r> PartitionedKoios<'r> {
                         f.matrix_cells += effort.matrix_cells;
                         f.support_cells += effort.support_cells;
                     }
-                    outcome.score()
+                    ScoreBound::Exact(outcome.score())
                 }
             };
             resolved.push(Hit {
                 set: hit.set,
-                score: ScoreBound::Exact(exact),
+                score,
             });
-            let at = best.partition_point(|&b| b < exact);
-            best.insert(at, exact);
+            let bar = score.lb();
+            let at = best.partition_point(|&b| b < bar);
+            best.insert(at, bar);
             if best.len() > k {
                 best.remove(0);
             }
@@ -453,10 +244,13 @@ impl<'r> PartitionedKoios<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use koios_embed::repository::RepositoryBuilder;
+    use crate::config::KoiosConfig;
+    use crate::engine::Koios;
+    use koios_common::SetId;
+    use koios_embed::repository::{Repository, RepositoryBuilder};
     use koios_embed::sim::EqualitySimilarity;
 
-    fn repo() -> Repository {
+    fn repo() -> Arc<Repository> {
         let mut b = RepositoryBuilder::new();
         for i in 0..40 {
             // Sets with progressively less overlap with {t0, t1, t2, t3}.
@@ -467,29 +261,39 @@ mod tests {
             }
             b.add_set(&format!("s{i}"), elems);
         }
-        b.build()
+        Arc::new(b.build())
+    }
+
+    fn backend(
+        r: &Arc<Repository>,
+        cfg: KoiosConfig,
+        partitions: usize,
+        seed: u64,
+    ) -> EngineBackend {
+        EngineBackend::new(
+            Arc::clone(r),
+            Arc::new(EqualitySimilarity),
+            cfg,
+            partitions,
+            seed,
+        )
+    }
+
+    /// Exact scores everywhere: the No-EM filter is off.
+    fn exact_cfg(k: usize) -> KoiosConfig {
+        let mut cfg = KoiosConfig::new(k, 0.9);
+        cfg.no_em_filter = false;
+        cfg
     }
 
     #[test]
     fn partition_assignment_is_deterministic_and_total() {
         let r = repo();
-        let p1 = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(3, 0.9),
-            4,
-            7,
-        );
-        let p2 = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(3, 0.9),
-            4,
-            7,
-        );
+        let p1 = backend(&r, KoiosConfig::new(3, 0.9), 4, 7);
+        let p2 = backend(&r, KoiosConfig::new(3, 0.9), 4, 7);
         assert_eq!(p1.num_partitions(), 4);
-        let total: usize = p1.indexes.iter().map(|i| i.total_postings()).sum();
-        let total2: usize = p2.indexes.iter().map(|i| i.total_postings()).sum();
+        let total: usize = p1.indexes().map(|i| i.total_postings()).sum();
+        let total2: usize = p2.indexes().map(|i| i.total_postings()).sum();
         assert_eq!(total, total2);
         assert_eq!(total, 40 * 4);
     }
@@ -498,20 +302,13 @@ mod tests {
     fn partitioned_matches_single_engine_scores() {
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
-        let single = Koios::new(&r, Arc::new(EqualitySimilarity), KoiosConfig::new(5, 0.9));
+        let single = Koios::new(Arc::clone(&r), Arc::new(EqualitySimilarity), exact_cfg(5));
         let sres = single.search(&q);
         for parts in [1, 2, 3, 8] {
-            let part = PartitionedKoios::new(
-                &r,
-                Arc::new(EqualitySimilarity),
-                KoiosConfig::new(5, 0.9),
-                parts,
-                42,
-            );
-            let pres = part.search(&q);
+            let pres = backend(&r, exact_cfg(5), parts, 42).search(&q);
             assert_eq!(pres.hits.len(), sres.hits.len());
             // Scores (not necessarily ids — ties) must agree.
-            let s_scores: Vec<f64> = sres.hits.iter().map(|h| h.score.ub()).collect();
+            let s_scores: Vec<f64> = sres.hits.iter().map(|h| h.score.exact().unwrap()).collect();
             let p_scores: Vec<f64> = pres.hits.iter().map(|h| h.score.exact().unwrap()).collect();
             for (a, b) in s_scores.iter().zip(&p_scores) {
                 assert!(
@@ -529,9 +326,8 @@ mod tests {
         // kept burning time after timing out.
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
-        let part = PartitionedKoios::new(
+        let part = backend(
             &r,
-            Arc::new(EqualitySimilarity),
             KoiosConfig::new(4, 0.9).with_time_budget(std::time::Duration::ZERO),
             3,
             1,
@@ -548,26 +344,21 @@ mod tests {
         }
     }
 
+    fn exact(set: u32, score: f64) -> Hit {
+        Hit {
+            set: SetId(set),
+            score: ScoreBound::Exact(score),
+        }
+    }
+
     #[test]
     fn merge_stops_verifying_once_top_k_is_certain() {
         let r = repo();
-        let part = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(2, 0.9),
-            2,
-            1,
-        );
+        let part = backend(&r, KoiosConfig::new(2, 0.9), 2, 1);
         let q = r.intern_query(["t0", "t1"]);
         let pool = vec![
-            Hit {
-                set: SetId(0),
-                score: ScoreBound::Exact(2.0),
-            },
-            Hit {
-                set: SetId(1),
-                score: ScoreBound::Exact(1.9),
-            },
+            exact(0, 2.0),
+            exact(1, 1.9),
             // Both UBs sit under the 2nd-best exact score: unreachable.
             range(2, 0.5, 1.5),
             range(3, 0.5, 1.2),
@@ -581,6 +372,61 @@ mod tests {
     }
 
     #[test]
+    fn merge_certifies_an_interval_above_the_pool_kth_ub() {
+        // Lemma 7 over the merged pool: set 2's lower bound reaches the
+        // 2nd largest upper bound (3.0), so it is a top-2 member whatever
+        // its exact score, and no matching runs.
+        let r = repo();
+        let q = r.intern_query(["t0", "t1", "t2", "t3"]);
+        let pool = vec![range(2, 3.0, 4.0), exact(0, 3.0), range(3, 0.5, 2.0)];
+        let one = backend(&r, KoiosConfig::new(2, 0.9), 1, 1);
+        let mut stats = SearchStats::default();
+        let hits = one.merge_partials(&q, pool.clone(), None, &mut stats);
+        assert_eq!(stats.em_full, 0);
+        assert_eq!(hits, vec![range(2, 3.0, 4.0), exact(0, 3.0)]);
+
+        // Across shards the intervals are resolved exactly, which keeps
+        // the answer deterministic: set 2 overlaps the query by 2, and set
+        // 3's ub then ties the 2nd best score, so it is verified too.
+        let two = backend(&r, KoiosConfig::new(2, 0.9), 2, 1);
+        let mut stats = SearchStats::default();
+        let hits = two.merge_partials(&q, pool, None, &mut stats);
+        assert_eq!(stats.em_full, 2);
+        assert_eq!(hits, vec![exact(0, 3.0), exact(2, 2.0)]);
+    }
+
+    #[test]
+    fn merge_of_a_pool_of_at_most_k_hits_runs_no_matching() {
+        let r = repo();
+        let part = backend(&r, KoiosConfig::new(3, 0.9), 1, 1);
+        let q = r.intern_query(["t0", "t1", "t2", "t3"]);
+        let pool = vec![exact(0, 2.0), range(3, 0.5, 3.5), range(2, 1.0, 4.0)];
+        let mut stats = SearchStats::default();
+        let hits = part.merge_partials(&q, pool, None, &mut stats);
+        assert_eq!(stats.em_full, 0);
+        assert_eq!(
+            hits,
+            vec![range(2, 1.0, 4.0), range(3, 0.5, 3.5), exact(0, 2.0)]
+        );
+    }
+
+    #[test]
+    fn merge_verifies_an_interval_tied_with_the_kth_bound() {
+        // Sets 0, 4 and 8 all overlap the query by 4. Set 8's interval is
+        // not certified (its lb sits under the pool's 2nd ub) and its ub
+        // ties the 2nd best score, so it is verified; the exact tie then
+        // goes to the smaller ids.
+        let r = repo();
+        let part = backend(&r, KoiosConfig::new(2, 0.9), 1, 1);
+        let q = r.intern_query(["t0", "t1", "t2", "t3"]);
+        let pool = vec![range(8, 1.0, 4.0), exact(4, 4.0), exact(0, 4.0)];
+        let mut stats = SearchStats::default();
+        let hits = part.merge_partials(&q, pool, None, &mut stats);
+        assert_eq!(stats.em_full, 1, "the tied interval must be verified");
+        assert_eq!(hits, vec![exact(0, 4.0), exact(4, 4.0)]);
+    }
+
+    #[test]
     fn merge_verifies_ub_ties_for_deterministic_tie_break() {
         // Regression for the early-termination bound: a Range hit whose UB
         // exactly ties the k-th best exact score must still be verified —
@@ -589,13 +435,7 @@ mod tests {
         // have exact overlap 3 with the query; set 9 hides behind a loose
         // UB of 5 and resolves first.
         let r = repo();
-        let part = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(1, 0.9),
-            2,
-            1,
-        );
+        let part = backend(&r, KoiosConfig::new(1, 0.9), 2, 1);
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
         let pool = vec![range(9, 1.0, 5.0), range(1, 1.0, 3.0)];
         let mut stats = SearchStats::default();
@@ -609,24 +449,11 @@ mod tests {
     #[test]
     fn merge_with_expired_deadline_keeps_ranges_and_flags_timeout() {
         let r = repo();
-        let part = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(2, 0.9),
-            2,
-            1,
-        );
+        let part = backend(&r, KoiosConfig::new(2, 0.9), 2, 1);
         let q = r.intern_query(["t0", "t1"]);
         // Range hits whose UBs beat every exact score: the merge *wants* to
         // verify them, but the deadline has already passed.
-        let pool = vec![
-            range(2, 1.0, 4.0),
-            range(3, 1.0, 3.5),
-            Hit {
-                set: SetId(0),
-                score: ScoreBound::Exact(2.0),
-            },
-        ];
+        let pool = vec![range(2, 1.0, 4.0), range(3, 1.0, 3.5), exact(0, 2.0)];
         let expired = Instant::now() - std::time::Duration::from_millis(1);
         let mut stats = SearchStats::default();
         let hits = part.merge_partials(&q, pool, Some(expired), &mut stats);
@@ -641,14 +468,7 @@ mod tests {
     fn search_reports_per_shard_and_merge_times() {
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
-        let part = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(3, 0.9),
-            3,
-            1,
-        );
-        let res = part.search(&q);
+        let res = backend(&r, KoiosConfig::new(3, 0.9), 3, 1).search(&q);
         assert_eq!(res.stats.shard_times.len(), 3, "one timing per shard");
         assert!(res.stats.shard_times.iter().all(|&t| t > Duration::ZERO));
         // Each shard's wall time bounds the parallel-max phase timings.
@@ -659,40 +479,29 @@ mod tests {
     }
 
     #[test]
-    fn owned_engine_runs_on_the_executor_and_matches_borrowed() {
-        // An `Arc`-owned repository routes shard searches through the
-        // process-wide `ShardExecutor` (no per-request thread spawn); the
-        // borrowed embedding keeps scoped threads. Results must agree
-        // exactly, including per-shard timings being populated.
+    fn shard_engines_are_shared_and_moved_across_threads() {
+        // Shard engines are built once and shared by every search and
+        // every clone; a backend is `'static` and searches from any thread
+        // with the same results.
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
-        let borrowed = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(5, 0.9),
-            3,
-            42,
-        );
-        assert!(matches!(borrowed.engines, ShardEngines::Borrowed(_)));
-        let expect = borrowed.search(&q);
-
-        let owned: OwnedPartitionedKoios = PartitionedKoios::new(
-            Arc::new(r.clone()),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(5, 0.9),
-            3,
-            42,
-        );
-        assert!(matches!(owned.engines, ShardEngines::Owned(_)));
-        let got = owned.search(&q);
+        let part = backend(&r, KoiosConfig::new(5, 0.9), 3, 42);
+        let expect = part.search(&q);
+        let clone = part.clone();
+        assert!(clone
+            .shards
+            .iter()
+            .zip(&part.shards)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        let qc = q.clone();
+        let got = std::thread::spawn(move || clone.search(&qc))
+            .join()
+            .unwrap();
         assert_eq!(got.hits, expect.hits);
         assert_eq!(got.stats.shard_times.len(), 3);
-        assert!(got.stats.shard_times.iter().all(|&t| t > Duration::ZERO));
 
-        // Config siblings share the pre-built shard engines' indexes and
-        // stay on the executor path.
-        let narrowed = owned.with_config(KoiosConfig::new(1, 0.9));
-        assert!(matches!(narrowed.engines, ShardEngines::Owned(_)));
+        // Config siblings share the shard indexes.
+        let narrowed = part.with_config(KoiosConfig::new(1, 0.9));
         assert_eq!(narrowed.search(&q).hits.len(), 1);
     }
 
@@ -700,14 +509,7 @@ mod tests {
     fn merged_hits_are_exact_and_sorted() {
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
-        let part = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(6, 0.9),
-            3,
-            1,
-        );
-        let res = part.search(&q);
+        let res = backend(&r, exact_cfg(6), 3, 1).search(&q);
         assert!(res.hits.iter().all(|h| h.score.exact().is_some()));
         for w in res.hits.windows(2) {
             assert!(w[0].score.ub() >= w[1].score.ub());

@@ -5,23 +5,18 @@
 //! saves or restores a query-ready backend:
 //!
 //! * [`EngineBackend::write_snapshot`] serializes the repository, optional
-//!   token vectors and every inverted index (one per shard on the
-//!   partitioned variant) under the matching [`SnapshotLayout`].
-//! * [`EngineBackend::from_snapshot`] restores whichever layout the
-//!   snapshot holds — no rebuild, no re-partitioning: shard indexes come
-//!   back bit-exactly, so a warm-started engine returns byte-identical
-//!   hits. The default constructor rebuilds a [`CosineSimilarity`] over
-//!   the snapshotted vectors; [`EngineBackend::from_snapshot_with`]
-//!   accepts any similarity factory (equality, q-gram Jaccard, …).
-//! * [`Koios::from_snapshot`] / [`PartitionedKoios::from_snapshot`] are
-//!   the layout-checked variants: loading a sharded snapshot into a
-//!   single engine (or vice versa) fails with
-//!   [`StoreError::LayoutMismatch`] instead of silently degrading.
+//!   token vectors and every shard's inverted index under the partitioned
+//!   [`SnapshotLayout`] (one shard included).
+//! * [`EngineBackend::from_snapshot`] restores a backend — no rebuild, no
+//!   re-partitioning: shard indexes come back bit-exactly, so a
+//!   warm-started engine returns byte-identical hits. Files written with
+//!   the older single layout restore as one shard. The default
+//!   constructor rebuilds a [`CosineSimilarity`] over the snapshotted
+//!   vectors; [`EngineBackend::from_snapshot_with`] accepts any
+//!   similarity factory (equality, q-gram Jaccard, …).
 
 use crate::backend::EngineBackend;
 use crate::config::KoiosConfig;
-use crate::engine::{Koios, OwnedKoios};
-use crate::partitioned::{OwnedPartitionedKoios, PartitionedKoios};
 use koios_embed::repository::Repository;
 use koios_embed::sim::{CosineSimilarity, ElementSimilarity};
 use koios_embed::vectors::Embeddings;
@@ -33,36 +28,26 @@ use std::path::Path;
 use std::sync::Arc;
 
 impl EngineBackend {
-    /// Serializes this backend's query-ready state — repository, the
-    /// engine's inverted index(es) under the matching layout, and
-    /// optionally the token vectors behind an embedding-based similarity —
-    /// to `path` (conventionally `*.ksnap`). Pass the embeddings whenever
-    /// the engine searches under [`CosineSimilarity`]; without them a
-    /// restore must supply its own similarity via
-    /// [`EngineBackend::from_snapshot_with`].
+    /// Serializes this backend's query-ready state — repository, every
+    /// shard's inverted index, and optionally the token vectors behind an
+    /// embedding-based similarity — to `path` (conventionally `*.ksnap`).
+    /// Pass the embeddings whenever the engine searches under
+    /// [`CosineSimilarity`]; without them a restore must supply its own
+    /// similarity via [`EngineBackend::from_snapshot_with`].
     pub fn write_snapshot(
         &self,
         path: impl AsRef<Path>,
         embeddings: Option<&Embeddings>,
     ) -> Result<SnapshotMeta, StoreError> {
-        let view = match self {
-            EngineBackend::Single(e) => SnapshotView {
-                repository: e.repository(),
-                embeddings,
-                layout: SnapshotLayout::Single,
-                indexes: vec![e.index().as_ref()],
-                minhash: None,
+        let view = SnapshotView {
+            repository: &self.repo,
+            embeddings,
+            layout: SnapshotLayout::Partitioned {
+                partitions: self.num_partitions() as u32,
+                seed: self.partition_seed(),
             },
-            EngineBackend::Partitioned(p) => SnapshotView {
-                repository: p.repository(),
-                embeddings,
-                layout: SnapshotLayout::Partitioned {
-                    partitions: p.num_partitions() as u32,
-                    seed: p.partition_seed(),
-                },
-                indexes: p.indexes().iter().map(|i| i.as_ref()).collect(),
-                minhash: None,
-            },
+            indexes: self.indexes().map(|i| i.as_ref()).collect(),
+            minhash: None,
         };
         write_snapshot(path.as_ref(), &view)
     }
@@ -101,12 +86,12 @@ impl EngineBackend {
         Self::from_state(state, cfg, |repo, emb| Ok(make_sim(repo, emb)))
     }
 
-    /// Wires a backend from already-restored snapshot state (the layout
-    /// decides the variant). Exposed so callers that inspected or
-    /// transformed a [`SnapshotState`] can finish construction without a
-    /// second file read. The similarity factory is fallible so callers can
-    /// refuse snapshots missing what their similarity needs (e.g. no
-    /// embeddings section) before any engine is built.
+    /// Wires a backend from already-restored snapshot state, one shard per
+    /// restored index. Exposed so callers that inspected or transformed a
+    /// [`SnapshotState`] can finish construction without a second file
+    /// read. The similarity factory is fallible so callers can refuse
+    /// snapshots missing what their similarity needs (e.g. no embeddings
+    /// section) before any engine is built.
     pub fn from_state<F>(
         state: SnapshotState,
         cfg: KoiosConfig,
@@ -126,78 +111,19 @@ impl EngineBackend {
             ..
         } = state;
         let repo = Arc::new(repository);
-        let emb = embeddings.map(Arc::new);
-        let sim = make_sim(&repo, emb)?;
-        let backend = match meta.layout {
-            SnapshotLayout::Single => {
-                let index = indexes
-                    .into_iter()
-                    .next()
-                    .expect("read_snapshot guarantees at least one index");
-                EngineBackend::Single(Koios::with_index(
-                    Arc::clone(&repo),
-                    sim,
-                    Arc::new(index),
-                    cfg,
-                ))
-            }
-            SnapshotLayout::Partitioned { seed, .. } => {
-                EngineBackend::Partitioned(PartitionedKoios::from_indexes(
-                    repo,
-                    sim,
-                    cfg,
-                    indexes.into_iter().map(Arc::new).collect(),
-                    seed,
-                ))
-            }
-        };
+        let sim = make_sim(&repo, embeddings.map(Arc::new))?;
+        let indexes = indexes.into_iter().map(Arc::new).collect();
+        let backend = EngineBackend::from_indexes(repo, sim, cfg, indexes, meta.layout.seed());
         Ok((backend, meta))
-    }
-}
-
-impl OwnedKoios {
-    /// Restores a **single-index** engine from a snapshot (cosine
-    /// similarity over the snapshotted vectors). A snapshot holding a
-    /// partitioned layout is refused with [`StoreError::LayoutMismatch`] —
-    /// its shard indexes only cover subsets of the repository, so treating
-    /// one as a full index would silently drop results.
-    pub fn from_snapshot(
-        path: impl AsRef<Path>,
-        cfg: KoiosConfig,
-    ) -> Result<(OwnedKoios, SnapshotMeta), StoreError> {
-        match EngineBackend::from_snapshot(path, cfg)? {
-            (EngineBackend::Single(e), meta) => Ok((e, meta)),
-            (EngineBackend::Partitioned(_), meta) => Err(StoreError::LayoutMismatch {
-                expected: "single",
-                found: meta.layout.describe(),
-            }),
-        }
-    }
-}
-
-impl OwnedPartitionedKoios {
-    /// Restores a **partitioned** engine from a snapshot (cosine
-    /// similarity over the snapshotted vectors). A single-layout snapshot
-    /// is refused with [`StoreError::LayoutMismatch`].
-    pub fn from_snapshot(
-        path: impl AsRef<Path>,
-        cfg: KoiosConfig,
-    ) -> Result<(OwnedPartitionedKoios, SnapshotMeta), StoreError> {
-        match EngineBackend::from_snapshot(path, cfg)? {
-            (EngineBackend::Partitioned(p), meta) => Ok((p, meta)),
-            (EngineBackend::Single(_), meta) => Err(StoreError::LayoutMismatch {
-                expected: "partitioned",
-                found: meta.layout.describe(),
-            }),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Koios;
     use koios_embed::repository::RepositoryBuilder;
-    use koios_embed::sim::EqualitySimilarity;
+    use koios_embed::sim::{EqualitySimilarity, QGramJaccard};
     use koios_embed::synthetic::SyntheticEmbeddings;
 
     fn repo_and_embeddings() -> (Arc<Repository>, Arc<Embeddings>) {
@@ -224,11 +150,16 @@ mod tests {
     fn single_backend_roundtrips_byte_identical() {
         let (repo, emb) = repo_and_embeddings();
         let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
-        let cold: EngineBackend =
-            OwnedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(3, 0.5)).into();
+        let cold = EngineBackend::new(Arc::clone(&repo), sim, KoiosConfig::new(3, 0.5), 1, 0);
         let path = tmp("single.ksnap");
         let meta = cold.write_snapshot(&path, Some(&emb)).unwrap();
-        assert_eq!(meta.layout, SnapshotLayout::Single);
+        assert_eq!(
+            meta.layout,
+            SnapshotLayout::Partitioned {
+                partitions: 1,
+                seed: 0
+            }
+        );
 
         let (warm, rmeta) = EngineBackend::from_snapshot(&path, KoiosConfig::new(3, 0.5)).unwrap();
         assert_eq!(rmeta, meta);
@@ -241,9 +172,7 @@ mod tests {
     fn partitioned_backend_roundtrips_byte_identical() {
         let (repo, emb) = repo_and_embeddings();
         let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
-        let cold: EngineBackend =
-            OwnedPartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5), 3, 41)
-                .into();
+        let cold = EngineBackend::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5), 3, 41);
         let path = tmp("parted.ksnap");
         let meta = cold.write_snapshot(&path, Some(&emb)).unwrap();
         assert_eq!(
@@ -256,70 +185,56 @@ mod tests {
 
         let (warm, _) = EngineBackend::from_snapshot(&path, KoiosConfig::new(2, 0.5)).unwrap();
         assert_eq!(warm.num_partitions(), 3);
-        assert_eq!(warm.as_partitioned().unwrap().partition_seed(), 41);
+        assert_eq!(warm.partition_seed(), 41);
         let q = repo.intern_query(["LA", "Blain", "SC"]);
         assert_eq!(warm.search(&q).hits, cold.search(&q).hits);
     }
 
     #[test]
-    fn layout_checked_constructors_refuse_cross_loads() {
+    fn single_layout_files_restore_as_one_shard() {
+        // Files written with the single layout (one repository-wide index)
+        // load as p = 1 and answer exactly like a `Koios` over the full
+        // index — interval hits included — under cosine and q-gram
+        // similarity alike.
         let (repo, emb) = repo_and_embeddings();
-        let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
-        let parted: EngineBackend = OwnedPartitionedKoios::new(
-            Arc::clone(&repo),
-            Arc::clone(&sim),
-            KoiosConfig::new(2, 0.5),
-            2,
-            7,
-        )
-        .into();
-        let ppath = tmp("cross-parted.ksnap");
-        parted.write_snapshot(&ppath, Some(&emb)).unwrap();
-        let err = OwnedKoios::from_snapshot(&ppath, KoiosConfig::new(2, 0.5))
-            .err()
-            .expect("sharded snapshot must not load into a single engine");
-        assert!(
-            matches!(
-                err,
-                StoreError::LayoutMismatch {
-                    expected: "single",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-
-        let single: EngineBackend =
-            OwnedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5)).into();
-        let spath = tmp("cross-single.ksnap");
-        single.write_snapshot(&spath, Some(&emb)).unwrap();
-        let err = OwnedPartitionedKoios::from_snapshot(&spath, KoiosConfig::new(2, 0.5))
-            .err()
-            .expect("single snapshot must not load into a partitioned engine");
-        assert!(
-            matches!(
-                err,
-                StoreError::LayoutMismatch {
-                    expected: "partitioned",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        // The layout-agnostic constructor accepts both.
-        assert!(EngineBackend::from_snapshot(&ppath, KoiosConfig::new(2, 0.5)).is_ok());
-        assert!(EngineBackend::from_snapshot(&spath, KoiosConfig::new(2, 0.5)).is_ok());
+        let cosine: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
+        let qgram: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
+        for (name, sim, alpha) in [("cosine", cosine, 0.5), ("qgram", qgram, 0.3)] {
+            let cfg = KoiosConfig::new(2, alpha);
+            let direct = Koios::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone());
+            let path = tmp(&format!("single-layout-{name}.ksnap"));
+            let meta = write_snapshot(
+                &path,
+                &SnapshotView {
+                    repository: &repo,
+                    embeddings: Some(&emb),
+                    layout: SnapshotLayout::Single,
+                    indexes: vec![direct.index().as_ref()],
+                    minhash: None,
+                },
+            )
+            .unwrap();
+            assert_eq!(meta.layout, SnapshotLayout::Single);
+            let (warm, _) =
+                EngineBackend::from_snapshot_with(&path, cfg, |_, _| Arc::clone(&sim)).unwrap();
+            assert_eq!(warm.num_partitions(), 1);
+            for q in [["LA", "Blain", "SC"], ["Yak", "Gnu", "Zebra"]] {
+                let q = repo.intern_query(q);
+                assert_eq!(warm.search(&q).hits, direct.search(&q).hits, "{name}");
+            }
+        }
     }
 
     #[test]
     fn snapshot_without_embeddings_needs_a_similarity_factory() {
         let (repo, _) = repo_and_embeddings();
-        let cold: EngineBackend = OwnedKoios::new(
+        let cold = EngineBackend::new(
             Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
-        )
-        .into();
+            1,
+            0,
+        );
         let path = tmp("no-emb.ksnap");
         cold.write_snapshot(&path, None).unwrap();
 

@@ -87,7 +87,7 @@ pub struct FunnelCounts {
     /// [`SearchStats::knn_cache`] misses).
     pub knn_cache_misses: usize,
     /// Per-shard sub-funnels of a partitioned search, indexed by
-    /// partition. Empty for single-engine searches.
+    /// partition. Empty for one-shard searches.
     pub shards: Vec<ShardFunnel>,
 }
 
@@ -293,9 +293,9 @@ pub struct SearchStats {
     pub no_em: usize,
     /// Exact matchings aborted by the label-sum filter (Lemma 8).
     pub em_early_terminated: usize,
-    /// Exact matchings run to completion. For a partitioned search this
-    /// also counts merge-time verifications of interval-scored hits
-    /// (see [`crate::PartitionedKoios::search_with_deadline`]) — after a deadline
+    /// Exact matchings run to completion. For a sharded search this also
+    /// counts merge-time verifications of interval-scored hits
+    /// (see [`crate::EngineBackend::search_with_deadline`]) — after a deadline
     /// expiry the merge performs none, so a timed-out partitioned search
     /// reports exactly the matchings that ran before the budget lapsed.
     pub em_full: usize,
@@ -308,20 +308,20 @@ pub struct SearchStats {
     /// Wall time spent inside exact-matching **verification** (the paper's
     /// "verify" stage: Hungarian runs, early-terminated or complete, plus
     /// the bounded overlaps of `verify_all` mode). A strict subset of
-    /// `postprocess_time` for a single-engine search; a partitioned search
-    /// adds its merge-loop verifications here too.
+    /// `postprocess_time` for a one-shard search; a sharded search adds its
+    /// merge-loop verifications here too.
     pub verify_time: Duration,
     /// Wall time of the partitioned merge loop (resolving interval-scored
-    /// hits in descending-UB order, §VI). Zero for single-engine searches.
+    /// hits in descending-UB order, §VI). Zero for one-shard searches.
     pub merge_time: Duration,
     /// Wall time the [`crate::ShardExecutor`] batch held the query: from
     /// submitting the per-shard tasks until the last shard's partial result
     /// returned (covers shard queue wait *and* shard search). Zero for
-    /// single-engine searches. Feeds the `executor` span of a request
+    /// one-shard searches. Feeds the `executor` span of a request
     /// trace.
     pub executor_time: Duration,
-    /// Per-shard wall time of a partitioned search, indexed by partition
-    /// (empty for single-engine searches). Parallel merges take the
+    /// Per-shard wall time of a sharded search, indexed by partition
+    /// (empty for one-shard searches). Parallel merges take the
     /// element-wise max — shards of one query run concurrently — while
     /// sequential service aggregation sums element-wise into cumulative
     /// per-shard engine time.

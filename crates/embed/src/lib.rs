@@ -18,8 +18,7 @@
 //! via [`Repository::intern_query`], and hand an
 //! `Arc<dyn ElementSimilarity>` (e.g. [`CosineSimilarity`] over
 //! [`SyntheticEmbeddings`], or [`QGramJaccard`]) to the engine in
-//! `koios-core`. Serving layers share the repository through
-//! [`repository::RepoRef`].
+//! `koios-core`, which shares the repository behind an `Arc`.
 
 pub mod ops;
 pub mod rand_util;

@@ -6,7 +6,6 @@
 //! set table (the layout the inverted index and the search engines rely on).
 
 use koios_common::{HeapSize, Interner, SetId, TokenId};
-use std::sync::Arc;
 
 /// Summary statistics of a repository (the paper's Table I columns).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -336,80 +335,6 @@ impl Repository {
     }
 }
 
-/// Borrowed or shared-ownership access to a [`Repository`].
-///
-/// Search engines historically borrowed their repository (`&'r Repository`),
-/// which ties the engine's lifetime to a stack frame. Long-lived serving
-/// layers (e.g. `koios-service`) instead hand the engine an
-/// `Arc<Repository>` so the engine is `'static` and can move across
-/// threads. `RepoRef` unifies both: engine constructors accept
-/// `impl Into<RepoRef<'r>>`, so existing `&repo` call sites keep working
-/// while `Arc<Repository>` (or `&Arc<Repository>`) enables owned engines.
-///
-/// Cloning is cheap: a pointer copy for the borrowed flavour, an `Arc`
-/// bump for the owned one.
-#[derive(Debug, Clone)]
-pub enum RepoRef<'r> {
-    /// A lifetime-bound borrow (the classic single-query embedding).
-    Borrowed(&'r Repository),
-    /// Shared ownership (`RepoRef<'static>`): the serving-layer embedding.
-    Owned(Arc<Repository>),
-}
-
-impl RepoRef<'_> {
-    /// The underlying repository.
-    pub fn get(&self) -> &Repository {
-        match self {
-            RepoRef::Borrowed(r) => r,
-            RepoRef::Owned(r) => r,
-        }
-    }
-
-    /// Whether this reference owns (shares ownership of) the repository.
-    pub fn is_owned(&self) -> bool {
-        matches!(self, RepoRef::Owned(_))
-    }
-
-    /// Shared ownership of the repository: an `Arc` bump for the owned
-    /// flavour, a deep clone into a fresh `Arc` for the borrowed one
-    /// (serving layers only construct owned engines, so the clone is the
-    /// cold path).
-    pub fn to_arc(&self) -> Arc<Repository> {
-        match self {
-            RepoRef::Borrowed(r) => Arc::new((*r).clone()),
-            RepoRef::Owned(r) => Arc::clone(r),
-        }
-    }
-}
-
-impl std::ops::Deref for RepoRef<'_> {
-    type Target = Repository;
-
-    fn deref(&self) -> &Repository {
-        self.get()
-    }
-}
-
-impl<'r> From<&'r Repository> for RepoRef<'r> {
-    fn from(r: &'r Repository) -> Self {
-        RepoRef::Borrowed(r)
-    }
-}
-
-// `Owned` carries no lifetime, so it satisfies any `'r` — including
-// `'static`, which is what owned engines are built with.
-impl<'r> From<Arc<Repository>> for RepoRef<'r> {
-    fn from(r: Arc<Repository>) -> Self {
-        RepoRef::Owned(r)
-    }
-}
-
-impl<'r> From<&Arc<Repository>> for RepoRef<'r> {
-    fn from(r: &Arc<Repository>) -> Self {
-        RepoRef::Owned(Arc::clone(r))
-    }
-}
-
 impl HeapSize for Repository {
     fn heap_size(&self) -> usize {
         self.interner.heap_size()
@@ -492,27 +417,6 @@ mod tests {
         // c1 ∪ c2 ∪ dup = {LA, Blain, Appleton, MtPleasant, Lexington,
         //                  Sacramento, SC}
         assert_eq!(s.unique_elems, 7);
-    }
-
-    #[test]
-    fn repo_ref_borrowed_and_owned_agree() {
-        let r = sample_repo();
-        let borrowed: RepoRef = (&r).into();
-        assert!(!borrowed.is_owned());
-        assert_eq!(borrowed.num_sets(), r.num_sets());
-
-        let arc = Arc::new(sample_repo());
-        let owned: RepoRef<'static> = Arc::clone(&arc).into();
-        assert!(owned.is_owned());
-        assert_eq!(owned.num_sets(), arc.num_sets());
-        // &Arc converts too (bumps the refcount instead of borrowing).
-        let from_ref: RepoRef<'static> = (&arc).into();
-        assert!(from_ref.is_owned());
-        assert_eq!(Arc::strong_count(&arc), 3);
-
-        // Clones are cheap and deref to the same contents.
-        let c = owned.clone();
-        assert_eq!(c.set_name(SetId(1)), "c2");
     }
 
     #[test]

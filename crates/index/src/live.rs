@@ -81,9 +81,9 @@ impl std::error::Error for LiveError {}
 
 /// Applies one [`CorpusOp`] to a repository plus its derived state.
 ///
-/// `indexes` are the per-shard inverted indexes (one entry for a single-
-/// index engine); `route` maps a set id to the shard that owns it (`|_| 0`
-/// for single engines, the deterministic partitioner for sharded ones).
+/// `indexes` are the per-shard inverted indexes (one entry for a one-shard
+/// engine); `route` maps a set id to the shard that owns it (engines use
+/// the deterministic partitioner; a lone index takes `|_| 0`).
 /// Every index is grown to the post-op vocabulary so `num_tokens` stays
 /// aligned with `vocab_size` on all shards, not just the owning one.
 ///

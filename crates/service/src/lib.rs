@@ -8,17 +8,13 @@
 //! queries. This crate amortizes both:
 //!
 //! * **Owned engine backends** — [`SearchService`] holds an
-//!   [`EngineBackend`](koios_core::EngineBackend): a single
-//!   [`Koios<'static>`](koios_core::OwnedKoios) or a sharded
-//!   [`PartitionedKoios<'static>`](koios_core::OwnedPartitionedKoios)
-//!   (paper §VI: per-shard indexes searched in parallel under one shared
-//!   monotone `θlb`), built over an `Arc<Repository>` (see
-//!   [`koios_embed::repository::RepoRef`]), so the service has no borrowed
-//!   lifetime and can live for the process duration, shared across
-//!   threads. Routing is backend-transparent: identical queries produce
-//!   identical scores and identical cache keys on either variant, and
-//!   per-request deadlines bound every shard *and* the partitioned
-//!   merge-verification loop.
+//!   [`EngineBackend`](koios_core::EngineBackend): one
+//!   [`Koios`](koios_core::Koios) per shard, `p ≥ 1` (paper §VI: per-shard
+//!   indexes searched in parallel under one shared monotone `θlb`), built
+//!   over an `Arc<Repository>`, so the service has no borrowed lifetime
+//!   and can live for the process duration, shared across threads. Cache
+//!   keys do not depend on the shard count, and per-request deadlines
+//!   bound every shard *and* the merge-verification loop.
 //! * **A persistent worker pool with a submission queue** —
 //!   [`pool::WorkerPool`] keeps a fixed set of long-lived threads draining
 //!   one hand-rolled MPMC queue (`Mutex<VecDeque>` + `Condvar`).

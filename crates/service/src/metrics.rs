@@ -150,7 +150,7 @@ impl ServiceMetrics {
 
     /// The `koios_shard_seconds{shard="index"}` histogram, registering it
     /// on first use. Only called after partitioned searches, so a
-    /// single-engine service never emits shard series.
+    /// one-shard service never emits shard series.
     pub fn shard(&self, index: usize) -> Arc<Histogram> {
         let mut shards = self.shards.lock().expect("shard metrics lock");
         while shards.len() <= index {

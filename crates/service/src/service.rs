@@ -9,9 +9,7 @@ use crate::stats::{ServiceStats, SnapshotInfo};
 use crate::tracer::{record_search_spans, Tracer};
 use koios_common::{profile, Json, SetId, TokenId};
 use koios_core::mutable::{BatchRejected, MutableEngine};
-use koios_core::{
-    EngineBackend, Hit, KoiosConfig, OwnedKoios, OwnedPartitionedKoios, SearchResult, SearchStats,
-};
+use koios_core::{EngineBackend, Hit, KoiosConfig, SearchResult, SearchStats};
 use koios_embed::ops::CorpusOp;
 use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
@@ -275,28 +273,25 @@ impl From<BatchRejected> for LiveServiceError {
 /// A long-lived, thread-safe serving layer over one owned engine backend.
 ///
 /// The service amortizes index and similarity setup across queries: the
-/// backend — a single [`OwnedKoios`] or a sharded
-/// [`OwnedPartitionedKoios`], see [`EngineBackend`] — is built once over an
-/// `Arc<Repository>` (see [`koios_embed::repository::RepoRef`]) and shared
-/// — immutably — by a **persistent pool** of long-lived worker threads
-/// draining one MPMC submission queue ([`crate::pool::WorkerPool`]).
-/// Callers either fire-and-await single requests ([`SearchService::submit`]
-/// returns a [`ResponseHandle`] to wait on later) or push whole batches
-/// ([`SearchService::search_batch`], a thin submit-all/await-all wrapper
-/// whose responses come back in submission order — each response lands in
-/// its own ticket slot, so no re-sorting happens). Results are identical on
-/// either backend. Two caches compose: repeated queries are answered from
-/// an LRU result cache keyed by a stable fingerprint of the normalized
-/// query and every result-affecting parameter (backend-transparent — a
-/// result cached under one backend is a hit under the other), and
-/// *overlapping* queries share per-element kNN lists through one
-/// [`TokenKnnCache`] installed into the engine configuration and therefore
-/// into every shard engine (see [`ServiceConfig::token_cache_bytes`]; the
-/// `(token, α, generation)` key is shard-agnostic). Per-request deadlines
-/// are enforced end to end: admission control refuses dead requests, and
-/// the remaining budget is passed to the backend as an absolute deadline
-/// that bounds the search — on the partitioned backend, every shard *and*
-/// the merge-time verification loop.
+/// [`EngineBackend`] — `p ≥ 1` shard engines — is built once over an
+/// `Arc<Repository>` and shared — immutably — by a **persistent pool** of
+/// long-lived worker threads draining one MPMC submission queue
+/// ([`crate::pool::WorkerPool`]). Callers either fire-and-await single
+/// requests ([`SearchService::submit`] returns a [`ResponseHandle`] to
+/// wait on later) or push whole batches ([`SearchService::search_batch`],
+/// a thin submit-all/await-all wrapper whose responses come back in
+/// submission order — each response lands in its own ticket slot, so no
+/// re-sorting happens). Two caches compose: repeated queries are answered
+/// from an LRU result cache keyed by a stable fingerprint of the
+/// normalized query and every result-affecting parameter (not the shard
+/// count), and *overlapping* queries share per-element kNN lists through
+/// one [`TokenKnnCache`] installed into the engine configuration and
+/// therefore into every shard engine (see
+/// [`ServiceConfig::token_cache_bytes`]; the `(token, α, generation)` key
+/// is shard-agnostic). Per-request deadlines are enforced end to end:
+/// admission control refuses dead requests, and the remaining budget is
+/// passed to the backend as an absolute deadline that bounds the search —
+/// every shard *and* the merge-time verification loop.
 ///
 /// ```
 /// use koios_core::KoiosConfig;
@@ -380,7 +375,7 @@ struct ServiceInner {
 }
 
 impl SearchService {
-    /// Builds a single engine (inverted index included) over a shared
+    /// Builds a one-shard engine (inverted index included) over a shared
     /// repository and wires up the service.
     pub fn new(
         repo: Arc<Repository>,
@@ -388,14 +383,14 @@ impl SearchService {
         engine_cfg: KoiosConfig,
         cfg: ServiceConfig,
     ) -> Self {
-        Self::from_backend(OwnedKoios::new(repo, sim, engine_cfg), cfg)
+        Self::new_partitioned(repo, sim, engine_cfg, 1, 0, cfg)
     }
 
     /// Builds a sharded engine — `partitions` per-shard inverted indexes
     /// searched in parallel under a shared `θlb` (paper §VI) — and wires up
     /// the service. `shard_seed` drives the deterministic pseudo-random
-    /// partition assignment. Results, and therefore result-cache keys, are
-    /// identical to the single-engine service.
+    /// partition assignment. Result-cache keys do not depend on the shard
+    /// count.
     pub fn new_partitioned(
         repo: Arc<Repository>,
         sim: Arc<dyn ElementSimilarity>,
@@ -405,29 +400,22 @@ impl SearchService {
         cfg: ServiceConfig,
     ) -> Self {
         Self::from_backend(
-            OwnedPartitionedKoios::new(repo, sim, engine_cfg, partitions, shard_seed),
+            EngineBackend::new(repo, sim, engine_cfg, partitions, shard_seed),
             cfg,
         )
     }
 
-    /// Wraps an already-built owned engine (compatibility alias for
-    /// [`Self::from_backend`], which accepts either backend variant).
-    pub fn from_engine(engine: OwnedKoios, cfg: ServiceConfig) -> Self {
-        Self::from_backend(engine, cfg)
-    }
-
-    /// Wraps an already-built owned backend (single or partitioned). When
-    /// `cfg.token_cache_bytes` is non-zero and the backend does not already
-    /// carry a token cache, one shared [`TokenKnnCache`] is created and
-    /// installed into the engine configuration, so every worker, every
-    /// per-request config override — and, on a partitioned backend, every
-    /// shard engine — reuses the same per-element kNN lists (sound: the
-    /// `(token, α, generation)` cache key is query- and shard-agnostic). A
+    /// Wraps an already-built backend. When `cfg.token_cache_bytes` is
+    /// non-zero and the backend does not already carry a token cache, one
+    /// shared [`TokenKnnCache`] is created and installed into the engine
+    /// configuration, so every worker, every per-request config override
+    /// and every shard engine reuses the same per-element kNN lists (sound:
+    /// the `(token, α, generation)` cache key is query- and shard-agnostic). A
     /// backend-supplied cache is kept (its own byte budget wins); setting
     /// `token_cache_bytes` to `0` disables token caching even then, by
     /// stripping the cache from the engine configuration.
-    pub fn from_backend(backend: impl Into<EngineBackend>, cfg: ServiceConfig) -> Self {
-        Self::build(backend.into(), cfg, None, None)
+    pub fn from_backend(backend: EngineBackend, cfg: ServiceConfig) -> Self {
+        Self::build(backend, cfg, None, None)
     }
 
     /// Wraps a [`MutableEngine`]: the service serves a backend minted from
@@ -443,10 +431,10 @@ impl SearchService {
     }
 
     /// Warm-starts a **mutable** service from a `koios-store` snapshot: the
-    /// backend — single or sharded, whichever layout the snapshot holds —
-    /// is restored without any index rebuild, searching under a cosine
-    /// similarity over the snapshotted token vectors; any delta sections
-    /// are replayed and the service resumes from the chain's latest epoch.
+    /// backend — with the snapshot's shard count — is restored without any
+    /// index rebuild, searching under a cosine similarity over the
+    /// snapshotted token vectors; any delta sections are replayed and the
+    /// service resumes from the chain's latest epoch.
     /// `engine_cfg` supplies the serving `k`/`α` and filter settings (they
     /// are not part of the snapshot — the same state serves any
     /// configuration). The snapshot's provenance (path, sizes, delta-chain
@@ -804,7 +792,7 @@ impl SearchService {
     /// ownership — live mutation swaps the service onto a new repository,
     /// but the one returned here stays valid).
     pub fn repository(&self) -> Arc<Repository> {
-        self.backend().repository_arc()
+        Arc::clone(self.backend().repository())
     }
 
     /// Runs one request (a batch of one).
@@ -1239,11 +1227,7 @@ impl SearchService {
         )
         .set(deltas.min(i64::MAX as usize) as i64);
 
-        let indexes = match (backend.as_single(), backend.as_partitioned()) {
-            (Some(e), _) => vec![e.index()],
-            (_, Some(p)) => p.indexes().iter().collect(),
-            _ => Vec::new(),
-        };
+        let indexes: Vec<_> = backend.indexes().collect();
         let index_bytes: usize = indexes.iter().map(|i| i.heap_size()).sum();
         let partitions = Json::arr(indexes.iter().enumerate().map(|(i, idx)| {
             Json::obj([
@@ -1323,8 +1307,8 @@ impl SearchService {
 
 impl ServiceInner {
     /// Feeds one executed search's stage timings into the stage/shard
-    /// histograms. `merge`/shard series only move for partitioned
-    /// searches, so a single-engine scrape carries no misleading zeros.
+    /// histograms. `merge`/shard series only move for sharded
+    /// searches, so a one-shard scrape carries no misleading zeros.
     fn record_stages(&self, stats: &SearchStats) {
         self.metrics.stage_refine.record_duration(stats.refine_time);
         self.metrics
@@ -1847,12 +1831,14 @@ mod tests {
         let mut b = RepositoryBuilder::new();
         b.add_set("s0", ["a", "b"]);
         let repo = Arc::new(b.build());
-        let engine = koios_core::OwnedKoios::new(
+        let engine = EngineBackend::new(
             Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(1, 0.9).with_token_cache(Arc::new(TokenKnnCache::new(1 << 20))),
+            1,
+            0,
         );
-        let svc = SearchService::from_engine(
+        let svc = SearchService::from_backend(
             engine,
             ServiceConfig::new()
                 .with_workers(1)
@@ -2092,10 +2078,12 @@ mod tests {
     #[test]
     fn live_ingest_mutates_the_served_corpus() {
         let (repo, _) = service(1, 8);
-        let engine = MutableEngine::single(
+        let engine = MutableEngine::partitioned(
             Arc::clone(&repo),
             None,
             KoiosConfig::new(2, 0.9),
+            1,
+            0,
             equality_factory(),
         )
         .unwrap();
@@ -2178,10 +2166,12 @@ mod tests {
                 .seed(5)
                 .build(&repo),
         );
-        let engine = koios_core::mutable::MutableEngine::single(
+        let engine = koios_core::mutable::MutableEngine::partitioned(
             Arc::clone(&repo),
             Some(emb),
             KoiosConfig::new(2, 0.5),
+            1,
+            0,
             koios_core::mutable::cosine_factory(),
         )
         .unwrap();

@@ -17,7 +17,7 @@ pub struct SnapshotInfo {
     pub format_version: u32,
     /// Total snapshot size in bytes.
     pub bytes: u64,
-    /// Partitions restored (1 for a single-index layout).
+    /// Shards restored (1 for a single-layout snapshot).
     pub partitions: usize,
     /// Sets in the restored repository.
     pub num_sets: usize,

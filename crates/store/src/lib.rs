@@ -32,7 +32,7 @@
 //!
 //! Entry points for applications live one level up:
 //! `EngineBackend::{write_snapshot, from_snapshot}` in `koios-core`
-//! restores a ready-to-serve engine (single or sharded) in one call, and
+//! restores a ready-to-serve engine (any shard count) in one call, and
 //! `SearchService::from_snapshot` in `koios-service` warm-starts a whole
 //! serving stack.
 //!

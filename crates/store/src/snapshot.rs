@@ -131,7 +131,9 @@ impl SectionKind {
     }
 }
 
-/// How the snapshotted engine was laid out.
+/// How the snapshotted engine was laid out. Engines write
+/// [`SnapshotLayout::Partitioned`], one shard included; files with the
+/// older single layout restore as one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotLayout {
     /// One engine over one repository-wide inverted index.
@@ -155,6 +157,25 @@ impl SnapshotLayout {
             SnapshotLayout::Partitioned { partitions, .. } => {
                 format!("partitioned({partitions})")
             }
+        }
+    }
+
+    /// The number of shards, each with its own inverted index (1 for
+    /// [`SnapshotLayout::Single`]).
+    pub fn partitions(&self) -> usize {
+        match self {
+            SnapshotLayout::Single => 1,
+            SnapshotLayout::Partitioned { partitions, .. } => *partitions as usize,
+        }
+    }
+
+    /// The shard-assignment seed. A single-layout engine routes every set
+    /// to its one index, which any seed does at one partition, so it
+    /// reports 0.
+    pub fn seed(&self) -> u64 {
+        match self {
+            SnapshotLayout::Single => 0,
+            SnapshotLayout::Partitioned { seed, .. } => *seed,
         }
     }
 }
@@ -255,14 +276,6 @@ pub enum StoreError {
     /// The file decoded but its contents are inconsistent (out-of-range
     /// ids, counts disagreeing with the meta section, …).
     Malformed(String),
-    /// The snapshot's engine layout does not match what the caller asked
-    /// to restore (e.g. loading a sharded snapshot into a single engine).
-    LayoutMismatch {
-        /// The layout the caller required.
-        expected: &'static str,
-        /// The layout the snapshot holds.
-        found: String,
-    },
     /// A delta section's recorded parent checksum does not match the chain
     /// tip — the base was rewritten, a delta was dropped, or sections were
     /// reordered after the delta was appended.
@@ -299,10 +312,6 @@ impl fmt::Display for StoreError {
                 write!(f, "snapshot is missing its {} section", kind.name())
             }
             StoreError::Malformed(msg) => write!(f, "malformed snapshot: {msg}"),
-            StoreError::LayoutMismatch { expected, found } => write!(
-                f,
-                "snapshot layout mismatch: expected a {expected} engine, snapshot holds {found}"
-            ),
             StoreError::DeltaChainBroken {
                 index,
                 expected,
@@ -429,10 +438,7 @@ fn decode_meta(
             "trailing bytes in meta section".to_string(),
         ));
     }
-    let expected_indexes = match layout {
-        SnapshotLayout::Single => 1,
-        SnapshotLayout::Partitioned { partitions, .. } => partitions as usize,
-    };
+    let expected_indexes = layout.partitions();
     if num_indexes != expected_indexes {
         return Err(StoreError::Malformed(format!(
             "layout {} declares {expected_indexes} index(es) but meta records {num_indexes}",
@@ -901,10 +907,7 @@ fn verify_chain(
 /// Serializes `view` to `path` (temporary file + rename, so the final name
 /// only ever holds a complete snapshot). Returns the written meta.
 pub fn write_snapshot(path: &Path, view: &SnapshotView) -> Result<SnapshotMeta, StoreError> {
-    let expected_indexes = match view.layout {
-        SnapshotLayout::Single => 1,
-        SnapshotLayout::Partitioned { partitions, .. } => partitions as usize,
-    };
+    let expected_indexes = view.layout.partitions();
     if view.indexes.len() != expected_indexes {
         return Err(StoreError::Malformed(format!(
             "layout {} requires {expected_indexes} index(es), got {}",
@@ -1163,16 +1166,11 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
     }
 
     // Replay the delta chain. Routing must match the engine that appended
-    // the ops: the workspace's single shard-assignment function for
-    // partitioned layouts, shard 0 for single ones.
+    // the ops: the workspace's single shard-assignment function, which at
+    // one shard (the single layout included) routes every set to shard 0.
     let mut meta = meta;
-    let route: Box<dyn Fn(SetId) -> usize> = match meta.layout {
-        SnapshotLayout::Single => Box::new(|_| 0),
-        SnapshotLayout::Partitioned { partitions, seed } => {
-            let n = partitions as usize;
-            Box::new(move |id| koios_common::fingerprint::partition_of(seed, id, n))
-        }
-    };
+    let (seed, n) = (meta.layout.seed(), meta.layout.partitions());
+    let route = move |id: SetId| koios_common::fingerprint::partition_of(seed, id, n);
     let mut tip = base_chain_tip(&sections);
     for info in sections.iter().filter(|s| s.kind == SectionKind::Delta) {
         let (parent_crc, epoch, ops) = decode_delta(checked_section(&bytes, info)?)?;
@@ -1470,11 +1468,6 @@ mod tests {
 
     #[test]
     fn error_display_is_informative() {
-        let e = StoreError::LayoutMismatch {
-            expected: "single",
-            found: "partitioned(4)".to_string(),
-        };
-        assert!(e.to_string().contains("partitioned(4)"));
         let e = StoreError::ChecksumMismatch {
             kind: SectionKind::Repository,
         };

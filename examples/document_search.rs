@@ -17,8 +17,9 @@ fn main() {
     // clusters acting as research areas.
     let profile = profiles::dblp(0.1);
     let corpus = profile.generate();
-    let repo = &corpus.repository;
-    let stats = repo.stats();
+    // The "query document" is a corpus document; rank 1 must be itself.
+    let benchmark = profile.benchmark(&corpus, 7);
+    let stats = corpus.repository.stats();
     println!(
         "corpus: {} documents, avg {:.0} words, {} distinct words, {:.0}% embedding coverage",
         stats.num_sets,
@@ -28,11 +29,14 @@ fn main() {
     );
 
     let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings.clone())));
-    let engine = Koios::new(repo, Arc::clone(&sim), KoiosConfig::new(5, 0.8));
+        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings)));
+    let repo = Arc::new(corpus.repository);
+    let engine = Koios::new(
+        Arc::clone(&repo),
+        Arc::clone(&sim),
+        KoiosConfig::new(5, 0.8),
+    );
 
-    // The "query document" is a corpus document; rank 1 must be itself.
-    let benchmark = profile.benchmark(&corpus, 7);
     let query = &benchmark.queries[0];
     println!(
         "\nquery: document '{}' ({} words)",
@@ -72,7 +76,7 @@ fn main() {
 
     // The exhaustive baseline verifies every candidate.
     let t0 = Instant::now();
-    let base = baseline_search(repo, Arc::clone(&sim), &query.tokens, 5, 0.8, 4, None);
+    let base = baseline_search(&repo, Arc::clone(&sim), &query.tokens, 5, 0.8, 4, None);
     let base_time = t0.elapsed();
     println!(
         "\nbaseline: {} exact matchings, {:.1}x slower ({:.3}s vs {:.3}s), same top-5: {}",

@@ -79,7 +79,12 @@ fn main() {
     }
 
     // Semantic join search with Koios.
-    let engine = Koios::new(&repo, Arc::clone(&sim), KoiosConfig::new(4, alpha));
+    let repo = Arc::new(repo);
+    let engine = Koios::new(
+        Arc::clone(&repo),
+        Arc::clone(&sim),
+        KoiosConfig::new(4, alpha),
+    );
     let result = engine.search(&query);
     println!("\nsemantic joinability ranking (Koios, α = {alpha}):");
     for hit in &result.hits {

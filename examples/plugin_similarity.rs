@@ -71,9 +71,10 @@ fn main() {
         (0.5, Arc::new(PrefixSimilarity::new(&repo))),
     ];
 
+    let repo = Arc::new(repo);
     for (alpha, sim) in sims {
         let name = sim.name();
-        let engine = Koios::new(&repo, sim, KoiosConfig::new(3, alpha));
+        let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(3, alpha));
         let result = engine.search(&query);
         print!("{name:<18} (α = {alpha}):");
         for hit in &result.hits {

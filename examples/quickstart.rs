@@ -100,7 +100,12 @@ fn main() {
     }
 
     // (4) Exact semantic overlap with Koios.
-    let engine = Koios::new(&repo, Arc::clone(&cosine), KoiosConfig::new(2, alpha));
+    let repo = Arc::new(repo);
+    let engine = Koios::new(
+        Arc::clone(&repo),
+        Arc::clone(&cosine),
+        KoiosConfig::new(2, alpha),
+    );
     let result = engine.search(&query);
     println!("\nKoios exact semantic overlap (α = {alpha}):");
     for hit in &result.hits {

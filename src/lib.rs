@@ -44,8 +44,8 @@
 //! process warm-starts it with
 //! [`EngineBackend::from_snapshot`](core::EngineBackend::from_snapshot) or
 //! [`SearchService::from_snapshot`](service::SearchService::from_snapshot)
-//! — byte-identical results, a fraction of the build time, on both the
-//! single and the sharded layout.
+//! — byte-identical results, a fraction of the build time, at any shard
+//! count.
 //!
 //! ## Observability
 //!
@@ -144,7 +144,8 @@ pub use koios_telemetry as telemetry;
 ///     .build(&repo);
 /// let sim = Arc::new(CosineSimilarity::new(Arc::new(embeddings)));
 ///
-/// let engine = Koios::new(&repo, sim, KoiosConfig::new(1, 0.7));
+/// let repo = Arc::new(repo);
+/// let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(1, 0.7));
 /// let query = repo.intern_query(["LA", "Blaine", "BigApple", "Charleston"]);
 /// let result = engine.search(&query);
 /// # assert_eq!(result.hits.len(), 1);
@@ -152,12 +153,11 @@ pub use koios_telemetry as telemetry;
 pub mod prelude {
     pub use koios_common::prelude::*;
     pub use koios_core::{
-        cosine_factory, EngineBackend, Hit, Koios, KoiosConfig, MutableEngine, OwnedKoios,
-        OwnedPartitionedKoios, PartitionedKoios, ScoreBound, SearchResult, ShardExecutor,
-        SharedTheta, SimFactory, UbMode,
+        cosine_factory, EngineBackend, Hit, Koios, KoiosConfig, MutableEngine, ScoreBound,
+        SearchCtx, SearchResult, ShardExecutor, SharedTheta, SimFactory, UbMode,
     };
     pub use koios_embed::ops::CorpusOp;
-    pub use koios_embed::repository::{RepoRef, Repository, RepositoryBuilder};
+    pub use koios_embed::repository::{Repository, RepositoryBuilder};
     pub use koios_embed::sim::{
         CosineSimilarity, EditSimilarity, ElementSimilarity, EqualitySimilarity, QGramJaccard,
     };

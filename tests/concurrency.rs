@@ -57,19 +57,19 @@ fn backends(c: &Corpus) -> Vec<(&'static str, EngineBackend)> {
     vec![
         (
             "single",
-            OwnedKoios::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone()).into(),
+            EngineBackend::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone(), 1, 0),
         ),
         (
             "partitioned",
-            OwnedPartitionedKoios::new(repo, sim, cfg, 4, 0xC0FFEE).into(),
+            EngineBackend::new(repo, sim, cfg, 4, 0xC0FFEE),
         ),
     ]
 }
 
-/// 8 threads × repeated mixed queries over both backend variants: every
+/// 8 threads × repeated mixed queries over one and four shards: every
 /// hit list (sets, score bounds, order) must be byte-identical to a
-/// single-threaded reference run over the same backend. On the
-/// partitioned variant this drives the shared shard executor from many
+/// single-threaded reference run over the same backend. With four shards
+/// this drives the shared shard executor from many
 /// submitters at once; on both it churns the striped token cache.
 #[test]
 fn hammer_is_byte_identical_to_sequential_reference() {
@@ -117,26 +117,24 @@ fn generation_bump_during_search_never_tears_results() {
     let sim: Arc<dyn ElementSimilarity> =
         Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
     let cache = Arc::new(TokenKnnCache::new(8 << 20));
-    let backend: EngineBackend = OwnedPartitionedKoios::new(
+    let backend = EngineBackend::new(
         Arc::clone(&repo),
         Arc::clone(&sim),
         KoiosConfig::new(5, 0.8).with_token_cache(Arc::clone(&cache)),
         4,
         0xC0FFEE,
-    )
-    .into();
-    // Reference from an uncached engine of the *same partitioned shape*:
-    // immune to any cache behaviour, while its merge resolves scores
-    // identically (a single engine may legitimately report No-EM-certified
-    // hits as intervals where the partitioned merge resolves them).
-    let uncached: EngineBackend = OwnedPartitionedKoios::new(
+    );
+    // Reference from an uncached engine of the *same shard count*: immune
+    // to any cache behaviour, while its merge resolves scores identically
+    // (one shard may legitimately report No-EM-certified hits as intervals
+    // where a four-shard merge resolves them).
+    let uncached = EngineBackend::new(
         Arc::clone(&repo),
         Arc::clone(&sim),
         KoiosConfig::new(5, 0.8),
         4,
         0xC0FFEE,
-    )
-    .into();
+    );
     let qs = queries(&repo);
     let reference: Vec<Vec<Hit>> = qs.iter().map(|q| uncached.search(q).hits).collect();
 

@@ -7,12 +7,14 @@ use koios::prelude::*;
 use koios_datagen::corpus::{Corpus, CorpusSpec};
 use std::sync::Arc;
 
-fn corpus(seed: u64) -> Corpus {
+fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     let mut s = CorpusSpec::small(seed);
     s.num_sets = 150;
     s.vocab_size = 600;
     s.clusters = 70;
-    Corpus::generate(s)
+    let c = Corpus::generate(s);
+    let sim = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    (Arc::new(c.repository), sim)
 }
 
 /// Every funnel counter that mirrors a `SearchStats` field must agree
@@ -87,16 +89,14 @@ fn assert_reconciled(result: &SearchResult, label: &str) {
 
 #[test]
 fn funnel_reconciles_with_stats_on_single_engine() {
-    let c = corpus(1200);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(1200);
     for (no_em, early) in [(true, true), (true, false), (false, false)] {
         let mut cfg = KoiosConfig::new(5, 0.8).with_explain(true);
         cfg.no_em_filter = no_em;
         cfg.em_early_termination = early;
-        let engine = Koios::new(&c.repository, sim.clone(), cfg);
+        let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
         for q in 0..8u32 {
-            let query = c.repository.set(SetId(q * 7)).to_vec();
+            let query = repo.set(SetId(q * 7)).to_vec();
             let res = engine.search(&query);
             assert_reconciled(&res, &format!("single no_em={no_em} early={early} q={q}"));
         }
@@ -105,14 +105,12 @@ fn funnel_reconciles_with_stats_on_single_engine() {
 
 #[test]
 fn funnel_reconciles_with_stats_on_partitioned_engine() {
-    let c = corpus(1201);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(1201);
     for parts in [2usize, 5, 9] {
         let cfg = KoiosConfig::new(5, 0.8).with_explain(true);
-        let engine = PartitionedKoios::new(&c.repository, sim.clone(), cfg, parts, 0xBEEF);
+        let engine = EngineBackend::new(Arc::clone(&repo), sim.clone(), cfg, parts, 0xBEEF);
         for q in 0..6u32 {
-            let query = c.repository.set(SetId(q * 11)).to_vec();
+            let query = repo.set(SetId(q * 11)).to_vec();
             let res = engine.search(&query);
             let label = format!("partitioned parts={parts} q={q}");
             assert_reconciled(&res, &label);
@@ -151,31 +149,22 @@ fn funnel_reconciles_with_stats_on_partitioned_engine() {
 
 /// Explain is observation only: with identical configs differing in
 /// nothing but the `explain` flag, the hit lists are equal hit-for-hit
-/// (same sets, bit-identical scores) on both backends.
+/// (same sets, bit-identical scores) at one shard and at four.
 #[test]
 fn explain_mode_never_changes_hits() {
-    let c = corpus(1202);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(1202);
     let cfg = KoiosConfig::new(6, 0.8);
-    let plain_single = Koios::new(&c.repository, sim.clone(), cfg.clone());
-    let explain_single = Koios::new(&c.repository, sim.clone(), cfg.clone().with_explain(true));
-    let plain_part = PartitionedKoios::new(&c.repository, sim.clone(), cfg.clone(), 4, 7);
-    let explain_part =
-        PartitionedKoios::new(&c.repository, sim.clone(), cfg.with_explain(true), 4, 7);
-    for q in 0..10u32 {
-        let query = c.repository.set(SetId(q * 13)).to_vec();
-        let a = plain_single.search(&query);
-        let b = explain_single.search(&query);
-        assert_eq!(a.hits, b.hits, "single q={q}");
-        assert!(a.stats.funnel.is_none(), "explain off attaches no funnel");
-        assert!(b.stats.funnel.is_some());
-
-        let a = plain_part.search(&query);
-        let b = explain_part.search(&query);
-        assert_eq!(a.hits, b.hits, "partitioned q={q}");
-        assert!(a.stats.funnel.is_none());
-        assert!(b.stats.funnel.is_some());
+    for parts in [1usize, 4] {
+        let plain = EngineBackend::new(Arc::clone(&repo), sim.clone(), cfg.clone(), parts, 7);
+        let explain = plain.with_config(cfg.clone().with_explain(true));
+        for q in 0..10u32 {
+            let query = repo.set(SetId(q * 13)).to_vec();
+            let a = plain.search(&query);
+            let b = explain.search(&query);
+            assert_eq!(a.hits, b.hits, "parts={parts} q={q}");
+            assert!(a.stats.funnel.is_none(), "explain off attaches no funnel");
+            assert!(b.stats.funnel.is_some());
+        }
     }
 }
 
@@ -184,9 +173,7 @@ fn explain_mode_never_changes_hits() {
 /// both see the same hits — under an 8-thread hammer mixing the two.
 #[test]
 fn explain_requests_under_concurrency() {
-    let c = corpus(1203);
-    let repo = Arc::new(c.repository);
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    let (repo, sim) = corpus(1203);
     let service = Arc::new(SearchService::new_partitioned(
         Arc::clone(&repo),
         sim,

@@ -5,7 +5,6 @@ use koios::prelude::*;
 use koios_core::audit::{audit_result, AuditOutcome};
 use koios_core::many_to_one::{bounded_many_to_one_overlap, many_to_one_overlap};
 use koios_core::overlap::semantic_overlap;
-use koios_core::SharedTheta;
 use koios_datagen::corpus::{Corpus, CorpusSpec};
 use koios_index::minhash::{vocabulary_grams, MinHashIndex, MinHashKnn, MinHashParams};
 use std::sync::Arc;
@@ -21,22 +20,22 @@ fn corpus(seed: u64) -> Corpus {
 fn koios_over_minhash_source_matches_exact_scan() {
     // With b=32, r=4 the LSH recall at J >= 0.6 is ≈1; the full engine over
     // the LSH source must return the same top-k as over the exact scan.
-    let c = corpus(2001);
-    let repo = &c.repository;
-    let sim_qg = Arc::new(QGramJaccard::new(repo, 3));
+    let repo = Arc::new(corpus(2001).repository);
+    let sim_qg = Arc::new(QGramJaccard::new(&repo, 3));
     let sim: Arc<dyn ElementSimilarity> = sim_qg.clone();
     let mut cfg = KoiosConfig::new(5, 0.6);
     cfg.no_em_filter = false;
-    let engine = Koios::new(repo, sim.clone(), cfg);
+    let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
 
-    let grams = vocabulary_grams(repo, 3);
+    let grams = vocabulary_grams(&repo, 3);
     let lsh = Arc::new(MinHashIndex::build(&grams, MinHashParams::default()));
 
     for probe in [0u32, 33, 77] {
         let query = repo.set(SetId(probe)).to_vec();
         let exact = engine.search(&query);
         let source = MinHashKnn::new(Arc::clone(&lsh), Arc::clone(&sim_qg), query.clone(), 0.6);
-        let via_lsh = engine.search_with_source(query.clone(), source, &SharedTheta::new());
+        let theta = SharedTheta::new();
+        let via_lsh = engine.search_with_source(query.clone(), source, &SearchCtx::new(&theta));
         assert_eq!(exact.hits.len(), via_lsh.hits.len(), "probe {probe}");
         for (a, b) in exact.hits.iter().zip(&via_lsh.hits) {
             assert_eq!(a.set, b.set, "probe {probe}");
@@ -44,7 +43,7 @@ fn koios_over_minhash_source_matches_exact_scan() {
         }
         // And the result is valid per the auditor.
         assert_eq!(
-            audit_result(repo, sim.as_ref(), 0.6, 5, &query, &via_lsh),
+            audit_result(&repo, sim.as_ref(), 0.6, 5, &query, &via_lsh),
             AuditOutcome::Valid
         );
     }
@@ -73,18 +72,17 @@ fn audit_catches_paper_mode_if_it_ever_misfires() {
     // PaperGreedy is expected-exact on clustered embeddings; the auditor
     // double-checks a real search end to end.
     let c = corpus(2003);
-    let repo = &c.repository;
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    let repo = Arc::new(c.repository);
     let engine = Koios::new(
-        repo,
+        Arc::clone(&repo),
         sim.clone(),
         KoiosConfig::new(4, 0.8).with_ub_mode(UbMode::PaperGreedy),
     );
     let query = repo.set(SetId(50)).to_vec();
     let res = engine.search(&query);
     assert_eq!(
-        audit_result(repo, sim.as_ref(), 0.8, 4, &query, &res),
+        audit_result(&repo, sim.as_ref(), 0.8, 4, &query, &res),
         AuditOutcome::Valid
     );
 }

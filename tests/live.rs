@@ -65,12 +65,8 @@ fn op_script(repo: &Repository, inserts: usize) -> Vec<CorpusOp> {
 fn engine(c: &Corpus, partitions: usize, cfg: KoiosConfig) -> MutableEngine {
     let repo = Arc::new(c.repository.clone());
     let emb = Arc::new(c.embeddings.clone());
-    match partitions {
-        1 => MutableEngine::single(repo, Some(emb), cfg, cosine_factory()).unwrap(),
-        p => {
-            MutableEngine::partitioned(repo, Some(emb), cfg, p, 0xC0FFEE, cosine_factory()).unwrap()
-        }
-    }
+    MutableEngine::partitioned(repo, Some(emb), cfg, partitions, 0xC0FFEE, cosine_factory())
+        .unwrap()
 }
 
 fn queries(repo: &Repository) -> Vec<Vec<TokenId>> {

@@ -1,6 +1,6 @@
 //! End-to-end tests for the `koios-net` HTTP front-end: a remote client
 //! must get byte-for-byte the scores an in-process `SearchService::search`
-//! call produces, on either engine backend; framing and payload errors
+//! call produces, at one shard or four; framing and payload errors
 //! must answer clean 4xx JSON instead of dropping the connection silently.
 
 use koios::datagen::corpus::{Corpus, CorpusSpec};
@@ -19,35 +19,30 @@ fn corpus_parts() -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     (repo, sim)
 }
 
-fn single_service(repo: &Arc<Repository>, sim: &Arc<dyn ElementSimilarity>) -> SearchService {
-    SearchService::new(
-        Arc::clone(repo),
-        Arc::clone(sim),
-        KoiosConfig::new(5, 0.8),
-        ServiceConfig::new().with_workers(2).with_cache_capacity(64),
-    )
-}
-
-fn partitioned_service(repo: &Arc<Repository>, sim: &Arc<dyn ElementSimilarity>) -> SearchService {
+fn service(
+    repo: &Arc<Repository>,
+    sim: &Arc<dyn ElementSimilarity>,
+    partitions: usize,
+) -> SearchService {
     SearchService::new_partitioned(
         Arc::clone(repo),
         Arc::clone(sim),
         KoiosConfig::new(5, 0.8),
-        4,
+        partitions,
         13,
         ServiceConfig::new().with_workers(2).with_cache_capacity(64),
     )
 }
 
 /// The acceptance criterion of the subsystem: an HTTP client runs a top-k
-/// search end-to-end against a server backed by *either* `EngineBackend`
-/// variant and sees scores identical to calling the service in-process.
+/// search end-to-end against a server backed by a one- or a four-shard
+/// `EngineBackend` and sees scores identical to calling the service in-process.
 #[test]
 fn http_search_matches_in_process_on_both_backends() {
     let (repo, sim) = corpus_parts();
     for (label, service) in [
-        ("single", single_service(&repo, &sim)),
-        ("partitioned", partitioned_service(&repo, &sim)),
+        ("single", service(&repo, &sim, 1)),
+        ("partitioned", service(&repo, &sim, 4)),
     ] {
         let service = Arc::new(service);
         let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
@@ -99,7 +94,7 @@ fn http_search_matches_in_process_on_both_backends() {
 #[test]
 fn element_queries_and_overrides_work_over_http() {
     let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let service = Arc::new(service(&repo, &sim, 1));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -139,7 +134,7 @@ fn element_queries_and_overrides_work_over_http() {
 #[test]
 fn cache_lifecycle_over_http() {
     let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let service = Arc::new(service(&repo, &sim, 1));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -175,7 +170,7 @@ fn cache_lifecycle_over_http() {
 #[test]
 fn healthz_and_service_level_rejections() {
     let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let service = Arc::new(service(&repo, &sim, 1));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -202,7 +197,7 @@ fn healthz_and_service_level_rejections() {
 #[test]
 fn malformed_requests_get_4xx_json() {
     let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let service = Arc::new(service(&repo, &sim, 1));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -251,7 +246,7 @@ fn malformed_requests_get_4xx_json() {
 #[test]
 fn concurrent_http_clients_get_consistent_answers() {
     let (repo, sim) = corpus_parts();
-    let service = Arc::new(partitioned_service(&repo, &sim));
+    let service = Arc::new(service(&repo, &sim, 4));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
@@ -306,7 +301,7 @@ fn concurrent_http_clients_get_consistent_answers() {
 #[test]
 fn metrics_endpoint_serves_valid_prometheus_text() {
     let (repo, sim) = corpus_parts();
-    let service = Arc::new(partitioned_service(&repo, &sim));
+    let service = Arc::new(service(&repo, &sim, 4));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -401,7 +396,7 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
 #[test]
 fn shutdown_closes_cleanly() {
     let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let service = Arc::new(service(&repo, &sim, 1));
     let mut server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
@@ -426,8 +421,8 @@ fn shutdown_closes_cleanly() {
 fn debug_suite_round_trips_on_both_backends() {
     let (repo, sim) = corpus_parts();
     for (label, service, partitions) in [
-        ("single", single_service(&repo, &sim), 1u64),
-        ("partitioned", partitioned_service(&repo, &sim), 4u64),
+        ("single", service(&repo, &sim, 1), 1u64),
+        ("partitioned", service(&repo, &sim, 4), 4u64),
     ] {
         let service = Arc::new(service);
         let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();

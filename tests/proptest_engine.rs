@@ -60,7 +60,8 @@ fn koios_is_exact_on_random_string_repos() {
         let mut cfg = KoiosConfig::new(k, alpha);
         cfg.no_em_filter = no_em;
         cfg.iub_filter = iub;
-        let engine = Koios::new(&repo, sim.clone(), cfg);
+        let repo = Arc::new(repo);
+        let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
         let result = engine.search(&query);
 
         // Oracle.

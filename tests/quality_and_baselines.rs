@@ -16,25 +16,26 @@ const EPS: f64 = 1e-9;
 fn vanilla_overlap_lower_bounds_semantic_overlap() {
     // Lemma 1 over a whole corpus.
     let c = Corpus::generate(CorpusSpec::small(1000));
+    let repo = &c.repository;
     let sim = CosineSimilarity::new(Arc::new(c.embeddings.clone()));
-    let query = c.repository.set(SetId(0)).to_vec();
-    for (id, _) in c.repository.iter_sets().take(60) {
-        let so = semantic_overlap(&c.repository, &sim, 0.8, &query, id);
-        let vo = c.repository.vanilla_overlap(&query, id) as f64;
+    let query = repo.set(SetId(0)).to_vec();
+    for (id, _) in repo.iter_sets().take(60) {
+        let so = semantic_overlap(repo, &sim, 0.8, &query, id);
+        let vo = repo.vanilla_overlap(&query, id) as f64;
         assert!(so >= vo - EPS, "set {id:?}: SO {so} < vanilla {vo}");
     }
 }
 
 #[test]
 fn equality_similarity_degenerates_to_vanilla_topk() {
-    let c = Corpus::generate(CorpusSpec::small(1001));
-    let idx = InvertedIndex::build(&c.repository);
-    let query = c.repository.set(SetId(7)).to_vec();
+    let repo = Arc::new(Corpus::generate(CorpusSpec::small(1001)).repository);
+    let idx = InvertedIndex::build(&repo);
+    let query = repo.set(SetId(7)).to_vec();
     let k = 8;
-    let vanilla = vanilla_topk(&c.repository, &idx, &query, k);
+    let vanilla = vanilla_topk(&repo, &idx, &query, k);
     let mut cfg = KoiosConfig::new(k, 1.0);
     cfg.no_em_filter = false;
-    let koios = Koios::new(&c.repository, Arc::new(EqualitySimilarity), cfg).search(&query);
+    let koios = Koios::new(Arc::clone(&repo), Arc::new(EqualitySimilarity), cfg).search(&query);
     assert_eq!(vanilla.len(), koios.hits.len());
     for ((_, count), hit) in vanilla.iter().zip(&koios.hits) {
         assert!(
@@ -47,21 +48,21 @@ fn equality_similarity_degenerates_to_vanilla_topk() {
 
 #[test]
 fn silkmoth_topk_agrees_with_koios_on_qgram_similarity() {
-    let c = Corpus::generate(CorpusSpec::small(1002));
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&c.repository, 3));
+    let repo = Arc::new(Corpus::generate(CorpusSpec::small(1002)).repository);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
     let alpha = 0.6;
     let k = 5;
-    let query = c.repository.set(SetId(12)).to_vec();
+    let query = repo.set(SetId(12)).to_vec();
     let mut cfg = KoiosConfig::new(k, alpha);
     cfg.no_em_filter = false;
-    let koios = Koios::new(&c.repository, sim.clone(), cfg).search(&query);
+    let koios = Koios::new(Arc::clone(&repo), sim.clone(), cfg).search(&query);
     let theta_k = koios
         .hits
         .last()
         .map(|h| h.score.exact().unwrap())
         .unwrap_or(0.0);
     for variant in [SilkMothVariant::Syntactic, SilkMothVariant::Semantic] {
-        let sm = SilkMoth::new(&c.repository, variant, 3, alpha);
+        let sm = SilkMoth::new(&repo, variant, 3, alpha);
         let (res, stats) = sm.search_topk(&query, k, theta_k);
         assert_eq!(res.len(), koios.hits.len(), "{variant:?}");
         for ((_, so), hit) in res.iter().zip(&koios.hits) {
@@ -139,7 +140,8 @@ fn greedy_misranks_the_paper_example() {
     );
 
     // Koios agrees with the exact ranking.
-    let engine = Koios::new(&repo, sim.clone(), KoiosConfig::new(1, alpha));
+    let repo = Arc::new(repo);
+    let engine = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(1, alpha));
     let res = engine.search(&query);
     assert_eq!(res.hits[0].set, SetId(1), "top-1 must be c2");
 
@@ -188,6 +190,7 @@ fn semantic_search_recovers_sets_vanilla_misses() {
     let v = vanilla_topk(&repo, &idx, &query, 1);
     assert_eq!(v[0].0, SetId(0));
     // Semantic overlap ranks "semantic" first.
-    let res = Koios::new(&repo, sim, KoiosConfig::new(1, 0.7)).search(&query);
+    let repo = Arc::new(repo);
+    let res = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(1, 0.7)).search(&query);
     assert_eq!(res.hits[0].set, SetId(1));
 }

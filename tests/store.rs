@@ -2,10 +2,10 @@
 //!
 //! The warm-start contract has two halves. Correctness: an engine restored
 //! from a snapshot must return **byte-identical** hits to the engine that
-//! wrote it, for every `k`/`α` served on top of the same state, on both
-//! backend layouts. Robustness: no corrupt input — truncation, flipped
-//! bits, alien magic, future versions, cross-layout loads — may panic the
-//! loader; every failure is a typed `StoreError`.
+//! wrote it, for every `k`/`α` served on top of the same state, at any
+//! shard count. Robustness: no corrupt input — truncation, flipped bits,
+//! alien magic, future versions — may panic the loader; every failure is
+//! a typed `StoreError`.
 
 use koios::prelude::*;
 use koios::store::snapshot::{SnapshotMeta, StoreError};
@@ -27,8 +27,9 @@ fn tmp(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Builds a cosine single + partitioned backend over one corpus and writes
-/// a snapshot of each; returns (repo, embeddings, single, parted, paths).
+/// Builds a cosine one-shard + four-shard backend over one corpus and
+/// writes a snapshot of each; returns (repo, embeddings, single, parted,
+/// paths).
 fn setup(
     seed: u64,
     single_name: &str,
@@ -42,14 +43,12 @@ fn setup(
     PathBuf,
 ) {
     let c = corpus(seed);
-    let repo = Arc::new(c.repository.clone());
-    let emb = Arc::new(c.embeddings.clone());
+    let repo = Arc::new(c.repository);
+    let emb = Arc::new(c.embeddings);
     let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
     let cfg = KoiosConfig::new(5, 0.8);
-    let single: EngineBackend =
-        OwnedKoios::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone()).into();
-    let parted: EngineBackend =
-        OwnedPartitionedKoios::new(Arc::clone(&repo), sim, cfg, 4, 99).into();
+    let single = EngineBackend::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone(), 1, 0);
+    let parted = EngineBackend::new(Arc::clone(&repo), sim, cfg, 4, 99);
     let spath = tmp(single_name);
     let ppath = tmp(parted_name);
     single.write_snapshot(&spath, Some(&emb)).unwrap();
@@ -97,21 +96,18 @@ fn warm_equals_cold_across_k_and_alpha() {
 }
 
 #[test]
-fn sharded_snapshot_cannot_cross_load_into_single_backend() {
-    let (_, _, _, _, spath, ppath) = setup(42, "cross-single.ksnap", "cross-parted.ksnap");
-    match OwnedKoios::from_snapshot(&ppath, KoiosConfig::new(3, 0.8)) {
-        Err(StoreError::LayoutMismatch { expected, found }) => {
-            assert_eq!(expected, "single");
-            assert!(found.contains("partitioned(4)"), "{found}");
-        }
-        Err(other) => panic!("wrong error: {other}"),
-        Ok(_) => panic!("sharded snapshot must not restore a single engine"),
-    }
-    match OwnedPartitionedKoios::from_snapshot(&spath, KoiosConfig::new(3, 0.8)) {
-        Err(StoreError::LayoutMismatch { expected, .. }) => assert_eq!(expected, "partitioned"),
-        Err(other) => panic!("wrong error: {other}"),
-        Ok(_) => panic!("single snapshot must not restore a partitioned engine"),
-    }
+fn snapshots_restore_their_own_shard_count() {
+    // A snapshot carries its sharding: a four-shard file never comes back
+    // as one shard (each shard index covers only a subset of the sets),
+    // and a one-shard file never comes back split.
+    let (_, _, _, _, spath, ppath) = setup(42, "shards-single.ksnap", "shards-parted.ksnap");
+    let (parted, meta) = EngineBackend::from_snapshot(&ppath, KoiosConfig::new(3, 0.8)).unwrap();
+    assert_eq!(meta.layout.describe(), "partitioned(4)");
+    assert_eq!(parted.num_partitions(), 4);
+    assert_eq!(parted.partition_seed(), 99);
+    let (single, meta) = EngineBackend::from_snapshot(&spath, KoiosConfig::new(3, 0.8)).unwrap();
+    assert_eq!(meta.layout.describe(), "partitioned(1)");
+    assert_eq!(single.num_partitions(), 1);
 }
 
 #[test]
@@ -152,12 +148,13 @@ fn every_single_bit_flip_is_caught_without_panicking() {
     b.add_set("s0", ["LA", "Blain", "SC"]);
     b.add_set("s1", ["LA", "Appleton"]);
     let repo = Arc::new(b.build());
-    let engine: EngineBackend = OwnedKoios::new(
+    let engine = EngineBackend::new(
         Arc::clone(&repo),
         Arc::new(EqualitySimilarity),
         KoiosConfig::new(1, 0.9),
-    )
-    .into();
+        1,
+        0,
+    );
     let path = tmp("flip.ksnap");
     engine.write_snapshot(&path, None).unwrap();
     let bytes = std::fs::read(&path).unwrap();

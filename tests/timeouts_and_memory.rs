@@ -7,21 +7,21 @@ use koios_datagen::corpus::{Corpus, CorpusSpec};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn corpus() -> Corpus {
+fn corpus() -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     let mut s = CorpusSpec::small(3001);
     s.num_sets = 300;
     s.vocab_size = 800;
-    Corpus::generate(s)
+    let c = Corpus::generate(s);
+    let sim = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    (Arc::new(c.repository), sim)
 }
 
 #[test]
 fn zero_budget_times_out_gracefully() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus();
     let cfg = KoiosConfig::new(5, 0.8).with_time_budget(Duration::from_nanos(1));
-    let engine = Koios::new(&c.repository, sim, cfg);
-    let query = c.repository.set(SetId(0)).to_vec();
+    let engine = Koios::new(Arc::clone(&repo), sim, cfg);
+    let query = repo.set(SetId(0)).to_vec();
     let res = engine.search(&query);
     assert!(res.stats.timed_out, "nanosecond budget must time out");
     // Partial results are still structurally sound (no duplicates, sorted).
@@ -34,12 +34,10 @@ fn zero_budget_times_out_gracefully() {
 
 #[test]
 fn generous_budget_never_times_out() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus();
     let cfg = KoiosConfig::new(5, 0.8).with_time_budget(Duration::from_secs(300));
-    let engine = Koios::new(&c.repository, sim, cfg);
-    let query = c.repository.set(SetId(1)).to_vec();
+    let engine = Koios::new(Arc::clone(&repo), sim, cfg);
+    let query = repo.set(SetId(1)).to_vec();
     let res = engine.search(&query);
     assert!(!res.stats.timed_out);
     assert_eq!(res.hits.len(), 5);
@@ -47,11 +45,9 @@ fn generous_budget_never_times_out() {
 
 #[test]
 fn memory_report_covers_both_phases() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let engine = Koios::new(&c.repository, sim, KoiosConfig::new(5, 0.8));
-    let query = c.repository.set(SetId(2)).to_vec();
+    let (repo, sim) = corpus();
+    let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8));
+    let query = repo.set(SetId(2)).to_vec();
     let res = engine.search(&query);
     let names: Vec<&str> = res.stats.memory.iter().map(|(n, _)| n).collect();
     for expected in [
@@ -73,11 +69,9 @@ fn memory_report_covers_both_phases() {
 
 #[test]
 fn stats_are_internally_consistent() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let engine = Koios::new(&c.repository, sim, KoiosConfig::new(5, 0.8));
-    let query = c.repository.set(SetId(3)).to_vec();
+    let (repo, sim) = corpus();
+    let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8));
+    let query = repo.set(SetId(3)).to_vec();
     let s = engine.search(&query).stats;
     // Every candidate is pruned, survives to post-processing, or was a
     // discovery-time tombstone.

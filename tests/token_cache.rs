@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 /// A seeded fuzzy-string corpus: clusters of near-duplicate names so q-gram
 /// Jaccard produces a rich sub-1.0 similarity structure.
-fn build_repo(seed: u64, sets: usize) -> Repository {
+fn build_repo(seed: u64, sets: usize) -> Arc<Repository> {
     let mut rng = StdRng::seed_from_u64(seed);
     let stems = [
         "Blaine",
@@ -40,7 +40,7 @@ fn build_repo(seed: u64, sets: usize) -> Repository {
             .collect();
         b.add_set(&format!("s{i}"), elems);
     }
-    b.build()
+    Arc::new(b.build())
 }
 
 /// Seeded overlapping workload: random queries plus head/tail-dropped
@@ -69,10 +69,10 @@ fn warm_cache_results_identical_across_alpha_values() {
     let sim = Arc::new(QGramJaccard::new(&repo, 3));
     let queries = workload(&repo, 7, 12);
     for alpha in [0.3, 0.5, 0.8] {
-        let cold = Koios::new(&repo, sim.clone(), KoiosConfig::new(3, alpha));
+        let cold = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(3, alpha));
         let cache = Arc::new(TokenKnnCache::new(8 << 20));
         let warm_engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             sim.clone(),
             KoiosConfig::new(3, alpha).with_token_cache(Arc::clone(&cache)),
         );
@@ -114,7 +114,7 @@ fn generation_bump_isolates_repository_mutations() {
     let cache = Arc::new(TokenKnnCache::new(8 << 20));
 
     let engine_v1 = Koios::new(
-        &repo_v1,
+        Arc::clone(&repo_v1),
         sim_v1,
         KoiosConfig::new(3, 0.4).with_token_cache(Arc::clone(&cache)),
     );
@@ -127,9 +127,13 @@ fn generation_bump_isolates_repository_mutations() {
     cache.bump_generation();
     assert_eq!(cache.len(), 0);
 
-    let cold_v2 = Koios::new(&repo_v2, sim_v2.clone(), KoiosConfig::new(3, 0.4));
+    let cold_v2 = Koios::new(
+        Arc::clone(&repo_v2),
+        sim_v2.clone(),
+        KoiosConfig::new(3, 0.4),
+    );
     let engine_v2 = Koios::new(
-        &repo_v2,
+        Arc::clone(&repo_v2),
         sim_v2,
         KoiosConfig::new(3, 0.4).with_token_cache(Arc::clone(&cache)),
     );
@@ -155,15 +159,16 @@ fn partitioned_engines_share_the_cache_exactly() {
     let sim = Arc::new(QGramJaccard::new(&repo, 3));
     let queries = workload(&repo, 9, 6);
 
-    let plain = PartitionedKoios::new(&repo, sim.clone(), KoiosConfig::new(3, 0.4), 4, 42);
     let cache = Arc::new(TokenKnnCache::new(8 << 20));
-    let caching = PartitionedKoios::new(
-        &repo,
+    let caching = EngineBackend::new(
+        Arc::clone(&repo),
         sim,
         KoiosConfig::new(3, 0.4).with_token_cache(Arc::clone(&cache)),
         4,
         42,
     );
+    // The same shards without the cache.
+    let plain = caching.with_config(KoiosConfig::new(3, 0.4));
     for q in &queries {
         assert_eq!(
             caching.search(q).hits,
