@@ -95,12 +95,12 @@ impl EngineBackend {
         let mut stats = SearchStats::default();
         let mut pool: Vec<Hit> = Vec::new();
         let mut shard_times = Vec::with_capacity(partials.len());
-        // EXPLAIN mode: summarize each shard's funnel as a sub-funnel row
+        // EXPLAIN mode: summarize each shard's counters as a sub-funnel row
         // before the parallel merge folds the per-shard totals together.
         let mut shard_rows: Vec<ShardFunnel> = Vec::new();
         for (shard, (partial, shard_time)) in partials.into_iter().enumerate() {
-            if let Some(f) = partial.stats.funnel.as_deref() {
-                shard_rows.push(ShardFunnel::from_counts(shard, f));
+            if partial.stats.funnel.is_some() {
+                shard_rows.push(ShardFunnel::new(shard, &partial.stats, partial.hits.len()));
             }
             stats.merge_parallel(&partial.stats);
             shard_times.push(shard_time);
@@ -123,9 +123,8 @@ impl EngineBackend {
             stats.executor_time = executor_time;
             stats.merge_time = merge_start.elapsed();
         }
-        let returned = hits.len();
         if let Some(f) = stats.funnel_mut() {
-            f.returned = returned;
+            f.returned = hits.len();
         }
         SearchResult { hits, stats }
     }
@@ -215,7 +214,6 @@ impl EngineBackend {
                     );
                     stats.verify_time += verify_start.elapsed();
                     if let Some(f) = stats.funnel_mut() {
-                        f.em_verified += 1;
                         f.merge_verifications += 1;
                         f.matrix_cells += effort.matrix_cells;
                         f.support_cells += effort.support_cells;

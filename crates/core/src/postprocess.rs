@@ -122,9 +122,6 @@ pub fn postprocess(
             if p.ub < slack(theta.get()) {
                 p.alive = false;
                 stats.postprocess_ub_pruned += 1;
-                if let Some(f) = stats.funnel_mut() {
-                    f.postprocess_ub_pruned += 1;
-                }
                 continue;
             }
             lub.offer(set, ub);
@@ -153,9 +150,6 @@ pub fn postprocess(
             }
             if certified > 0 {
                 stats.no_em += certified;
-                if let Some(f) = stats.funnel_mut() {
-                    f.no_em_certified += certified;
-                }
                 continue;
             }
         }
@@ -208,9 +202,6 @@ pub fn postprocess(
             match outcome {
                 MatchOutcome::EarlyTerminated { upper_bound } => {
                     stats.em_early_terminated += 1;
-                    if let Some(f) = stats.funnel_mut() {
-                        f.em_early_terminated += 1;
-                    }
                     debug_assert!(upper_bound < theta.get() + 1e-9);
                     let p = states.get_mut(&set).expect("verified set has state");
                     p.alive = false;
@@ -219,9 +210,6 @@ pub fn postprocess(
                 }
                 MatchOutcome::Exact(m) => {
                     stats.em_full += 1;
-                    if let Some(f) = stats.funnel_mut() {
-                        f.em_verified += 1;
-                    }
                     let so = m.score;
                     let p = states.get_mut(&set).expect("verified set has state");
                     p.exact = Some(so);
@@ -323,7 +311,6 @@ fn verify_all(
         for (set, so, effort) in wave_scores {
             stats.em_full += 1;
             if let Some(f) = stats.funnel_mut() {
-                f.em_verified += 1;
                 f.matrix_cells += effort.matrix_cells;
                 f.support_cells += effort.support_cells;
             }

@@ -174,7 +174,6 @@ pub fn refine<K: KnnSource>(
         let posting = index.postings(tuple.token);
         if let Some(f) = stats.funnel_mut() {
             f.stream_tuples += 1;
-            f.postings_probed += 1;
             f.posting_entries_scanned += posting.len();
             f.posting_lengths.push(posting.len());
         }
@@ -199,9 +198,6 @@ pub fn refine<K: KnnSource>(
                     if cfg.iub_filter && new_key != old_key {
                         buckets.reinsert(old_key.0, old_key.1, new_key.0, new_key.1, set);
                         stats.bucket_moves += 1;
-                        if let Some(f) = stats.funnel_mut() {
-                            f.bucket_moves += 1;
-                        }
                     }
                     if lb_improved {
                         let lb = cand.lb;
@@ -217,9 +213,6 @@ pub fn refine<K: KnnSource>(
                 }
                 Entry::Vacant(v) => {
                     stats.candidates += 1;
-                    if let Some(f) = stats.funnel_mut() {
-                        f.candidates_discovered += 1;
-                    }
                     let clen = repo.set_len(set) as u32;
                     let cap = (qlen as u32).min(clen);
                     // UB-filter at discovery (Lemma 2 with the §IV cap):
@@ -228,9 +221,6 @@ pub fn refine<K: KnnSource>(
                     // (§VIII-A4) verifies every candidate unpruned.
                     if cfg.iub_filter && (cap as f64) * s < slack(theta.get()) {
                         stats.ub_filter_pruned += 1;
-                        if let Some(f) = stats.funnel_mut() {
-                            f.ub_filter_pruned += 1;
-                        }
                         v.insert(Cand::tombstone(cap));
                         continue;
                     }
@@ -264,9 +254,6 @@ pub fn refine<K: KnnSource>(
                     }
                 });
                 stats.iub_pruned += swept;
-                if let Some(f) = stats.funnel_mut() {
-                    f.iub_pruned += swept;
-                }
                 last_swept_theta = th;
                 since_sweep = 0;
             }
@@ -294,9 +281,6 @@ pub fn refine<K: KnnSource>(
             }
         });
         stats.iub_pruned += swept;
-        if let Some(f) = stats.funnel_mut() {
-            f.iub_pruned += swept;
-        }
     }
 
     // Memory snapshot of the refinement structures (paper §VIII-D sums the
@@ -323,9 +307,6 @@ pub fn refine<K: KnnSource>(
             .then_with(|| a.set.cmp(&b.set))
     });
     stats.to_postprocess = survivors.len();
-    if let Some(f) = stats.funnel_mut() {
-        f.entered_postprocess = survivors.len();
-    }
     RefineOutput { survivors, llb }
 }
 

@@ -18,19 +18,19 @@ use std::time::Duration;
 /// off, [`SearchStats::funnel`] stays `None` and the hot paths pay one
 /// predictable branch per counter site.
 ///
-/// Counters that shadow an existing [`SearchStats`] field (e.g.
-/// [`candidates_discovered`](Self::candidates_discovered) vs
-/// [`SearchStats::candidates`]) are incremented at the *same* code sites,
-/// so the two always reconcile exactly; the rest (posting lengths, theta
-/// raises, matching effort, per-shard sub-funnels) exist only here.
+/// Only the evidence EXPLAIN alone collects lives here: posting lengths,
+/// tombstone skips, theta raises, matching effort, returned hits and the
+/// per-shard sub-funnels. The survivor counts of the funnel (candidates,
+/// filter prunes, No-EM certifications, matchings, kNN cache outcomes)
+/// are the owning [`SearchStats`]' own counters, so the reports
+/// ([`stages`](Self::stages), [`summary`](Self::summary),
+/// [`to_json`](Self::to_json)) take that `SearchStats` and read them from
+/// it.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FunnelCounts {
-    /// Tuples consumed from the token stream `Ie` (mirrors
-    /// [`SearchStats::stream_tuples`]).
+    /// Tuples consumed from the token stream `Ie`, one posting list probed
+    /// per tuple (equals [`SearchStats::stream_tuples`]).
     pub stream_tuples: usize,
-    /// Distinct query tokens whose inverted-index posting lists were
-    /// walked during candidate discovery.
-    pub postings_probed: usize,
     /// Total posting entries touched across all probed lists.
     pub posting_entries_scanned: usize,
     /// Length of each posting list probed, in probe order — the raw
@@ -39,38 +39,10 @@ pub struct FunnelCounts {
     /// Posting entries skipped because the set is tombstoned in the
     /// serving delta-chain (live engines only).
     pub tombstone_skips: usize,
-    /// Distinct candidate sets discovered (mirrors
-    /// [`SearchStats::candidates`]).
-    pub candidates_discovered: usize,
-    /// Candidates pruned at discovery by the UB-filter (mirrors
-    /// [`SearchStats::ub_filter_pruned`]).
-    pub ub_filter_pruned: usize,
-    /// Candidates pruned by the bucketised iUB filter (mirrors
-    /// [`SearchStats::iub_pruned`]).
-    pub iub_pruned: usize,
     /// Times the running threshold `θlb` rose (lower-bound tightening
     /// iterations, Lemma 4).
     pub theta_raises: usize,
-    /// Moves between iUB buckets (upper-bound tightening iterations;
-    /// mirrors [`SearchStats::bucket_moves`]).
-    pub bucket_moves: usize,
-    /// Candidates surviving refinement into post-processing (mirrors
-    /// [`SearchStats::to_postprocess`]).
-    pub entered_postprocess: usize,
-    /// Post-processing sets discarded because their upper bound fell under
-    /// `θlb` (mirrors [`SearchStats::postprocess_ub_pruned`]).
-    pub postprocess_ub_pruned: usize,
-    /// Sets certified into the top-k without matching (mirrors
-    /// [`SearchStats::no_em`]).
-    pub no_em_certified: usize,
-    /// Exact matchings aborted early (mirrors
-    /// [`SearchStats::em_early_terminated`]).
-    pub em_early_terminated: usize,
-    /// Exact matchings run to completion, including merge-time
-    /// verifications of a partitioned search (mirrors
-    /// [`SearchStats::em_full`]).
-    pub em_verified: usize,
-    /// The subset of [`em_verified`](Self::em_verified) performed by the
+    /// The subset of [`SearchStats::em_full`] performed by the
     /// partitioned merge loop on interval-scored hits (§VI).
     pub merge_verifications: usize,
     /// Similarity-matrix cells materialised by verification (Hungarian
@@ -80,12 +52,6 @@ pub struct FunnelCounts {
     pub support_cells: u64,
     /// Hits returned to the caller.
     pub returned: usize,
-    /// Query elements answered from the shared kNN cache (mirrors
-    /// [`SearchStats::knn_cache`] hits).
-    pub knn_cache_hits: usize,
-    /// Query elements that scanned the vocabulary (mirrors
-    /// [`SearchStats::knn_cache`] misses).
-    pub knn_cache_misses: usize,
     /// Per-shard sub-funnels of a partitioned search, indexed by
     /// partition. Empty for one-shard searches.
     pub shards: Vec<ShardFunnel>,
@@ -117,41 +83,36 @@ pub struct ShardFunnel {
 }
 
 impl ShardFunnel {
-    /// Summarizes a shard engine's funnel as one row of the partitioned
-    /// report.
-    pub fn from_counts(shard: usize, f: &FunnelCounts) -> Self {
+    /// One row of the partitioned report: a shard engine's counters and
+    /// the number of hits it offered to the merge.
+    pub fn new(shard: usize, stats: &SearchStats, returned: usize) -> Self {
         ShardFunnel {
             shard,
-            stream_tuples: f.stream_tuples,
-            candidates: f.candidates_discovered,
-            ub_filter_pruned: f.ub_filter_pruned,
-            iub_pruned: f.iub_pruned,
-            entered_postprocess: f.entered_postprocess,
-            no_em_certified: f.no_em_certified,
-            em_early_terminated: f.em_early_terminated,
-            em_verified: f.em_verified,
-            returned: f.returned,
+            stream_tuples: stats.stream_tuples,
+            candidates: stats.candidates,
+            ub_filter_pruned: stats.ub_filter_pruned,
+            iub_pruned: stats.iub_pruned,
+            entered_postprocess: stats.to_postprocess,
+            no_em_certified: stats.no_em,
+            em_early_terminated: stats.em_early_terminated,
+            em_verified: stats.em_full,
+            returned,
         }
     }
 
     fn to_json(self) -> Json {
+        let n = |x: usize| Json::num(x as f64);
         Json::obj([
-            ("shard", Json::num(self.shard as f64)),
-            ("stream_tuples", Json::num(self.stream_tuples as f64)),
-            ("candidates", Json::num(self.candidates as f64)),
-            ("ub_filter_pruned", Json::num(self.ub_filter_pruned as f64)),
-            ("iub_pruned", Json::num(self.iub_pruned as f64)),
-            (
-                "entered_postprocess",
-                Json::num(self.entered_postprocess as f64),
-            ),
-            ("no_em_certified", Json::num(self.no_em_certified as f64)),
-            (
-                "em_early_terminated",
-                Json::num(self.em_early_terminated as f64),
-            ),
-            ("em_verified", Json::num(self.em_verified as f64)),
-            ("returned", Json::num(self.returned as f64)),
+            ("shard", n(self.shard)),
+            ("stream_tuples", n(self.stream_tuples)),
+            ("candidates", n(self.candidates)),
+            ("ub_filter_pruned", n(self.ub_filter_pruned)),
+            ("iub_pruned", n(self.iub_pruned)),
+            ("entered_postprocess", n(self.entered_postprocess)),
+            ("no_em_certified", n(self.no_em_certified)),
+            ("em_early_terminated", n(self.em_early_terminated)),
+            ("em_verified", n(self.em_verified)),
+            ("returned", n(self.returned)),
         ])
     }
 }
@@ -161,114 +122,83 @@ impl FunnelCounts {
     /// counters sum, posting lengths and shard rows concatenate.
     pub fn merge(&mut self, other: &FunnelCounts) {
         self.stream_tuples += other.stream_tuples;
-        self.postings_probed += other.postings_probed;
         self.posting_entries_scanned += other.posting_entries_scanned;
         self.posting_lengths
             .extend_from_slice(&other.posting_lengths);
         self.tombstone_skips += other.tombstone_skips;
-        self.candidates_discovered += other.candidates_discovered;
-        self.ub_filter_pruned += other.ub_filter_pruned;
-        self.iub_pruned += other.iub_pruned;
         self.theta_raises += other.theta_raises;
-        self.bucket_moves += other.bucket_moves;
-        self.entered_postprocess += other.entered_postprocess;
-        self.postprocess_ub_pruned += other.postprocess_ub_pruned;
-        self.no_em_certified += other.no_em_certified;
-        self.em_early_terminated += other.em_early_terminated;
-        self.em_verified += other.em_verified;
         self.merge_verifications += other.merge_verifications;
         self.matrix_cells += other.matrix_cells;
         self.support_cells += other.support_cells;
         self.returned += other.returned;
-        self.knn_cache_hits += other.knn_cache_hits;
-        self.knn_cache_misses += other.knn_cache_misses;
         self.shards.extend_from_slice(&other.shards);
     }
 
     /// The stage-by-stage survivor counts of the funnel diagram, top to
     /// bottom: discovered → surviving refinement → entering verification →
     /// resolved without full matching → verified exactly → returned.
-    pub fn stages(&self) -> [(&'static str, usize); 6] {
+    /// `stats` is the [`SearchStats`] this funnel is attached to.
+    pub fn stages(&self, stats: &SearchStats) -> [(&'static str, usize); 6] {
         [
-            ("discovered", self.candidates_discovered),
+            ("discovered", stats.candidates),
             (
                 "survived_refinement",
-                self.candidates_discovered
-                    .saturating_sub(self.ub_filter_pruned + self.iub_pruned),
+                stats
+                    .candidates
+                    .saturating_sub(stats.ub_filter_pruned + stats.iub_pruned),
             ),
-            ("entered_postprocess", self.entered_postprocess),
+            ("entered_postprocess", stats.to_postprocess),
             (
                 "resolved_without_matching",
-                self.postprocess_ub_pruned + self.no_em_certified + self.em_early_terminated,
+                stats.postprocess_ub_pruned + stats.no_em + stats.em_early_terminated,
             ),
-            ("verified_exactly", self.em_verified),
+            ("verified_exactly", stats.em_full),
             ("returned", self.returned),
         ]
     }
 
     /// The full explain report as a JSON object — the single encoding used
-    /// by the wire reply, the slow-query log and retained traces.
-    pub fn to_json(&self) -> Json {
+    /// by the wire reply, the slow-query log and retained traces. `stats`
+    /// is the [`SearchStats`] this funnel is attached to; the keys that
+    /// name its counters are read from it.
+    pub fn to_json(&self, stats: &SearchStats) -> Json {
+        let n = |x: usize| Json::num(x as f64);
         Json::obj([
-            ("stream_tuples", Json::num(self.stream_tuples as f64)),
-            ("postings_probed", Json::num(self.postings_probed as f64)),
-            (
-                "posting_entries_scanned",
-                Json::num(self.posting_entries_scanned as f64),
-            ),
+            ("stream_tuples", n(self.stream_tuples)),
+            ("postings_probed", n(self.stream_tuples)),
+            ("posting_entries_scanned", n(self.posting_entries_scanned)),
             (
                 "posting_lengths",
-                Json::arr(self.posting_lengths.iter().map(|&l| Json::num(l as f64))),
+                Json::arr(self.posting_lengths.iter().map(|&l| n(l))),
             ),
-            ("tombstone_skips", Json::num(self.tombstone_skips as f64)),
-            (
-                "candidates_discovered",
-                Json::num(self.candidates_discovered as f64),
-            ),
-            ("ub_filter_pruned", Json::num(self.ub_filter_pruned as f64)),
-            ("iub_pruned", Json::num(self.iub_pruned as f64)),
-            ("theta_raises", Json::num(self.theta_raises as f64)),
-            ("bucket_moves", Json::num(self.bucket_moves as f64)),
-            (
-                "entered_postprocess",
-                Json::num(self.entered_postprocess as f64),
-            ),
-            (
-                "postprocess_ub_pruned",
-                Json::num(self.postprocess_ub_pruned as f64),
-            ),
-            ("no_em_certified", Json::num(self.no_em_certified as f64)),
-            (
-                "em_early_terminated",
-                Json::num(self.em_early_terminated as f64),
-            ),
-            ("em_verified", Json::num(self.em_verified as f64)),
-            (
-                "merge_verifications",
-                Json::num(self.merge_verifications as f64),
-            ),
+            ("tombstone_skips", n(self.tombstone_skips)),
+            ("candidates_discovered", n(stats.candidates)),
+            ("ub_filter_pruned", n(stats.ub_filter_pruned)),
+            ("iub_pruned", n(stats.iub_pruned)),
+            ("theta_raises", n(self.theta_raises)),
+            ("bucket_moves", n(stats.bucket_moves)),
+            ("entered_postprocess", n(stats.to_postprocess)),
+            ("postprocess_ub_pruned", n(stats.postprocess_ub_pruned)),
+            ("no_em_certified", n(stats.no_em)),
+            ("em_early_terminated", n(stats.em_early_terminated)),
+            ("em_verified", n(stats.em_full)),
+            ("merge_verifications", n(self.merge_verifications)),
             ("matrix_cells", Json::num(self.matrix_cells as f64)),
             ("support_cells", Json::num(self.support_cells as f64)),
-            ("returned", Json::num(self.returned as f64)),
-            ("knn_cache_hits", Json::num(self.knn_cache_hits as f64)),
-            ("knn_cache_misses", Json::num(self.knn_cache_misses as f64)),
+            ("returned", n(self.returned)),
+            ("knn_cache_hits", n(stats.knn_cache.hits)),
+            ("knn_cache_misses", n(stats.knn_cache.misses)),
             ("shards", Json::arr(self.shards.iter().map(|s| s.to_json()))),
         ])
     }
 
     /// A one-line summary (the slow-log / trace attachment): the funnel
     /// stages as `name=count` pairs.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for (i, (name, count)) in self.stages().iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(name);
-            out.push('=');
-            out.push_str(&count.to_string());
-        }
-        out
+    pub fn summary(&self, stats: &SearchStats) -> String {
+        let pairs = self
+            .stages(stats)
+            .map(|(name, count)| format!("{name}={count}"));
+        pairs.join(" ")
     }
 }
 
@@ -516,10 +446,10 @@ mod tests {
 
     #[test]
     fn funnel_merges_parallel_but_not_sequential() {
-        let funnel = |candidates: usize| {
+        let funnel = |tuples: usize| {
             Some(Box::new(FunnelCounts {
-                candidates_discovered: candidates,
-                posting_lengths: vec![candidates],
+                stream_tuples: tuples,
+                posting_lengths: vec![tuples],
                 ..FunnelCounts::default()
             }))
         };
@@ -533,13 +463,13 @@ mod tests {
         };
         a.merge_parallel(&b);
         let f = a.funnel.as_deref().unwrap();
-        assert_eq!(f.candidates_discovered, 7);
+        assert_eq!(f.stream_tuples, 7);
         assert_eq!(f.posting_lengths, vec![3, 4]);
 
         // A funnel-less aggregate adopts the other side's report...
         let mut bare = SearchStats::default();
         bare.merge_parallel(&a);
-        assert_eq!(bare.funnel.as_deref().unwrap().candidates_discovered, 7);
+        assert_eq!(bare.funnel.as_deref().unwrap().stream_tuples, 7);
         // ...but sequential (service-lifetime) aggregation never folds it.
         let mut seq = SearchStats::default();
         seq.merge_sequential(&a);
@@ -548,31 +478,33 @@ mod tests {
 
     #[test]
     fn funnel_stages_and_summary_are_consistent() {
-        let f = FunnelCounts {
-            candidates_discovered: 100,
+        let stats = SearchStats {
+            candidates: 100,
             ub_filter_pruned: 40,
             iub_pruned: 30,
-            entered_postprocess: 30,
+            to_postprocess: 30,
             postprocess_ub_pruned: 5,
-            no_em_certified: 10,
+            no_em: 10,
             em_early_terminated: 5,
-            em_verified: 10,
+            em_full: 10,
+            ..Default::default()
+        };
+        let f = FunnelCounts {
+            stream_tuples: 12,
             returned: 10,
             ..FunnelCounts::default()
         };
-        let stages = f.stages();
-        assert_eq!(stages[0], ("discovered", 100));
-        assert_eq!(stages[1], ("survived_refinement", 30));
-        assert_eq!(stages[3], ("resolved_without_matching", 20));
-        assert_eq!(stages[5], ("returned", 10));
-        let summary = f.summary();
-        assert!(summary.contains("discovered=100"), "{summary}");
-        assert!(summary.contains("returned=10"), "{summary}");
-        let json = f.to_json();
         assert_eq!(
-            json.get("candidates_discovered").unwrap().as_u64(),
-            Some(100)
+            f.summary(&stats),
+            "discovered=100 survived_refinement=30 entered_postprocess=30 \
+             resolved_without_matching=20 verified_exactly=10 returned=10"
         );
+        let json = f.to_json(&stats);
+        let count = |key: &str| json.get(key).unwrap().as_u64();
+        assert_eq!(count("candidates_discovered"), Some(100));
+        assert_eq!(count("entered_postprocess"), Some(30));
+        assert_eq!(count("em_verified"), Some(10));
+        assert_eq!(count("postings_probed"), Some(12));
         assert_eq!(json.get("shards").unwrap().as_array().unwrap().len(), 0);
     }
 

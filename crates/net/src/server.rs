@@ -47,7 +47,7 @@
 
 use crate::http::{HttpError, HttpRequest, HttpResponse};
 use crate::wire;
-use koios_common::Json;
+use koios_common::{profile::Stage, Json};
 use koios_service::SearchService;
 use koios_telemetry::trace::{trace_summary_json, trace_to_json, TraceContext};
 use std::io::{self, BufReader, Read};
@@ -343,7 +343,7 @@ fn search(request: &HttpRequest, service: &SearchService) -> HttpResponse {
     // retained this trace, it grows a `serialize` span (and its total
     // duration extends to cover it).
     if let Some(id) = response.trace_id {
-        service.record_trace_span(id, "serialize", serialize_start, serialize_time);
+        service.record_trace_span(id, Stage::Serialize.name(), serialize_start, serialize_time);
     }
     http
 }

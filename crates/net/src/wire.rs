@@ -27,9 +27,7 @@
 use koios_common::{Json, SetId, TokenId};
 use koios_embed::ops::CorpusOp;
 use koios_embed::repository::Repository;
-use koios_service::{
-    CacheOutcome, IngestOutcome, SearchRequest, ServiceResponse, ServiceStats, SnapshotInfo,
-};
+use koios_service::{IngestOutcome, SearchRequest, ServiceResponse, ServiceStats, SnapshotInfo};
 use koios_store::snapshot::SnapshotMeta;
 use std::time::Duration;
 
@@ -242,15 +240,6 @@ pub fn reload_to_json(info: &SnapshotInfo, epoch: u64) -> Json {
     ])
 }
 
-fn cache_outcome_str(outcome: CacheOutcome) -> &'static str {
-    match outcome {
-        CacheOutcome::Hit => "hit",
-        CacheOutcome::Miss => "miss",
-        CacheOutcome::Bypassed => "bypassed",
-        CacheOutcome::Rejected => "rejected",
-    }
-}
-
 fn millis(d: Duration) -> Json {
     Json::num(d.as_secs_f64() * 1e3)
 }
@@ -280,7 +269,7 @@ pub fn response_to_json(resp: &ServiceResponse, repo: &Repository) -> Json {
     };
     let mut fields = vec![
         ("hits", Json::Arr(hits)),
-        ("cache", Json::str(cache_outcome_str(resp.cache))),
+        ("cache", Json::str(resp.cache.as_str())),
         ("rejected", Json::Bool(resp.rejected)),
         ("timed_out", Json::Bool(s.timed_out)),
         ("trace_id", trace_id),
@@ -300,7 +289,7 @@ pub fn response_to_json(resp: &ServiceResponse, repo: &Repository) -> Json {
     // Present exactly when the search ran with funnel accounting: explain
     // requests answered from the result cache carry no funnel.
     if let Some(f) = &s.funnel {
-        fields.push(("funnel", f.to_json()));
+        fields.push(("funnel", f.to_json(s)));
     }
     Json::obj(fields)
 }

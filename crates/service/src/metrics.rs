@@ -12,8 +12,19 @@
 //! 7/8), `postprocess` (the whole post-filter phase containing `verify`)
 //! and `merge` (the partitioned merge loop, §VI).
 
+use koios_common::profile::Stage;
 use koios_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::sync::{Arc, Mutex};
+
+/// The engine stages with a `koios_stage_seconds` series, labelled by
+/// [`Stage::name`]: the stage histograms of [`ServiceMetrics`], in this
+/// order, and the stages `/metrics` links to a trace exemplar.
+pub(crate) const STAGE_SERIES: [Stage; 4] = [
+    Stage::Refine,
+    Stage::Postprocess,
+    Stage::Verify,
+    Stage::Merge,
+];
 
 /// Pre-resolved instrument handles shared by the workers, the pool, and
 /// the caches. Cheap to record into from any thread.
@@ -78,11 +89,11 @@ impl ServiceMetrics {
     /// A fresh registry with every request-path instrument pre-registered.
     pub fn new() -> Self {
         let registry = Arc::new(Registry::new());
-        let stage = |s: &str| {
+        let stage = |s: Stage| {
             registry.histogram(
                 "koios_stage_seconds",
                 "Wall time of one pipeline stage per executed search",
-                &[("stage", s)],
+                &[("stage", s.name())],
             )
         };
         let phase = |p: &str| {
@@ -106,11 +117,12 @@ impl ServiceMetrics {
                 &[("op", op)],
             )
         };
+        let [stage_refine, stage_postprocess, stage_verify, stage_merge] = STAGE_SERIES.map(stage);
         ServiceMetrics {
-            stage_refine: stage("refine"),
-            stage_postprocess: stage("postprocess"),
-            stage_verify: stage("verify"),
-            stage_merge: stage("merge"),
+            stage_refine,
+            stage_postprocess,
+            stage_verify,
+            stage_merge,
             request_queue: phase("queue"),
             request_search: phase("search"),
             request_serialize: phase("serialize"),

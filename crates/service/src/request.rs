@@ -174,6 +174,18 @@ pub enum CacheOutcome {
     Rejected,
 }
 
+impl CacheOutcome {
+    /// Stable lowercase name (wire replies, slow-log lines, trace spans).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CacheOutcome::Hit => "hit",
+            CacheOutcome::Miss => "miss",
+            CacheOutcome::Bypassed => "bypassed",
+            CacheOutcome::Rejected => "rejected",
+        }
+    }
+}
+
 /// The service's answer to one [`SearchRequest`].
 #[derive(Debug, Clone)]
 pub struct ServiceResponse {

@@ -1,7 +1,7 @@
 //! The concurrent query-serving layer.
 
 use crate::cache::StripedLruCache;
-use crate::metrics::ServiceMetrics;
+use crate::metrics::{ServiceMetrics, STAGE_SERIES};
 use crate::pool::{PoolInstruments, Ticket, WorkerPool};
 use crate::request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
 use crate::slowlog::{SlowQueryLog, SlowQueryRecord};
@@ -183,7 +183,6 @@ impl ServiceConfig {
 struct StatsInner {
     queries: u64,
     batches: u64,
-    cache_hits: u64,
     searched: u64,
     rejected: u64,
     timed_out: u64,
@@ -894,7 +893,7 @@ impl SearchService {
         ServiceStats {
             queries: st.queries,
             batches: st.batches,
-            cache_hits: st.cache_hits,
+            cache_hits: cache.hits,
             searched: st.searched,
             rejected: st.rejected,
             timed_out: st.timed_out,
@@ -1046,7 +1045,7 @@ impl SearchService {
                 slowest.duration_ns
             );
             for span in &slowest.spans {
-                if matches!(span.name, "refine" | "postprocess" | "verify" | "merge") {
+                if STAGE_SERIES.iter().any(|s| s.name() == span.name) {
                     let _ = writeln!(
                         text,
                         "koios_trace_exemplar_ns{{series=\"koios_stage_seconds\",\
@@ -1402,19 +1401,20 @@ impl ServiceInner {
             if let Some(tb) = tb.as_mut() {
                 let root = tb.root();
                 let off = tb.offset(probe_start);
-                let outcome = if cached.is_some() { "hit" } else { "miss" };
+                let outcome = cached
+                    .as_ref()
+                    .map_or(CacheOutcome::Miss, |_| CacheOutcome::Hit);
                 tb.add_detail(
                     "cache.result",
                     root,
                     off,
                     probe_start.elapsed().as_nanos() as u64,
                     None,
-                    Some(outcome),
+                    Some(outcome.as_str()),
                     cfg.epoch,
                 );
             }
             if let Some(hits) = cached {
-                self.stats.lock().expect("stats lock").cache_hits += 1;
                 if let Some(tb) = tb.as_mut() {
                     tb.set_epoch(cfg.epoch);
                 }
@@ -1507,7 +1507,7 @@ impl ServiceInner {
             record_search_spans(tb, &result.stats, off, search_time.as_nanos() as u64);
             tb.set_epoch(eff_epoch);
             if let Some(f) = &result.stats.funnel {
-                tb.set_funnel(f.summary());
+                tb.set_funnel(f.summary(&result.stats));
             }
         }
 
@@ -1611,6 +1611,7 @@ mod tests {
         assert_eq!(second.result.hits, first.result.hits);
         let st = svc.stats();
         assert_eq!(st.cache_hits, 1);
+        assert_eq!(st.cache_hits, st.cache.hits);
         assert_eq!(st.searched, 1);
         assert!(st.cache_hit_rate() > 0.0);
     }

@@ -125,12 +125,7 @@ impl SlowQueryRecord<'_> {
             (self.queue + self.search).as_nanos(),
             self.queue.as_nanos(),
             self.search.as_nanos(),
-            match self.cache {
-                CacheOutcome::Hit => "hit",
-                CacheOutcome::Miss => "miss",
-                CacheOutcome::Bypassed => "bypassed",
-                CacheOutcome::Rejected => "rejected",
-            },
+            self.cache.as_str(),
         );
         if let Some(trace_id) = self.trace_id {
             let _ = write!(
@@ -166,7 +161,7 @@ impl SlowQueryRecord<'_> {
             // EXPLAIN requests attach the stage funnel, so a retained slow
             // line answers "where did the candidates go" without a rerun.
             if let Some(f) = &stats.funnel {
-                let _ = write!(line, ",\"funnel\":\"{}\"", f.summary());
+                let _ = write!(line, ",\"funnel\":\"{}\"", f.summary(stats));
             }
         }
         line.push('}');
@@ -244,8 +239,8 @@ mod tests {
         let (sink, lines) = collecting();
         let log = SlowQueryLog::new(Duration::ZERO, sink);
         let stats = SearchStats {
+            candidates: 4,
             funnel: Some(Box::new(koios_core::FunnelCounts {
-                candidates_discovered: 4,
                 returned: 2,
                 ..Default::default()
             })),

@@ -49,7 +49,8 @@ pub struct ServiceStats {
     pub queries: u64,
     /// Batches submitted.
     pub batches: u64,
-    /// Requests answered from the result cache.
+    /// Requests answered from the result cache (the cache's own hit
+    /// counter, [`CacheCounters::hits`] of `cache`).
     pub cache_hits: u64,
     /// Requests that had to run a search.
     pub searched: u64,

@@ -9,6 +9,7 @@
 //! on completion, where tail-based sampling decides retention.
 
 use koios_common::fingerprint::Fingerprinter;
+use koios_common::profile::Stage;
 use koios_core::SearchStats;
 use koios_telemetry::trace::{
     mint_id, TraceBuilder, TraceConfig, TraceContext, TraceSink, TraceSinkStats,
@@ -127,7 +128,15 @@ pub fn record_search_spans(
     search_ns: u64,
 ) {
     let root = tb.root();
-    let search = tb.add_detail("search", root, start_ns, search_ns, None, None, stats.epoch);
+    let search = tb.add_detail(
+        Stage::Search.name(),
+        root,
+        start_ns,
+        search_ns,
+        None,
+        None,
+        stats.epoch,
+    );
     let parent = if search == 0 { root } else { search };
 
     let knn = &stats.knn_cache;
@@ -148,7 +157,7 @@ pub fn record_search_spans(
         let exec_parent = if exec == 0 { parent } else { exec };
         for (i, t) in stats.shard_times.iter().enumerate() {
             tb.add_detail(
-                "shard",
+                Stage::Shard.name(),
                 exec_parent,
                 start_ns,
                 t.as_nanos() as u64,
@@ -165,19 +174,19 @@ pub fn record_search_spans(
     let merge_ns = stats.merge_time.as_nanos() as u64;
     let mut cursor = start_ns;
     if refine_ns > 0 {
-        tb.add("refine", parent, cursor, refine_ns);
+        tb.add(Stage::Refine.name(), parent, cursor, refine_ns);
         cursor += refine_ns;
     }
     if post_ns > 0 || verify_ns > 0 {
-        let post = tb.add("postprocess", parent, cursor, post_ns);
+        let post = tb.add(Stage::Postprocess.name(), parent, cursor, post_ns);
         let post_parent = if post == 0 { parent } else { post };
         if verify_ns > 0 {
-            tb.add("verify", post_parent, cursor, verify_ns);
+            tb.add(Stage::Verify.name(), post_parent, cursor, verify_ns);
         }
     }
     if merge_ns > 0 {
         let merge_start = (start_ns + search_ns).saturating_sub(merge_ns);
-        tb.add("merge", parent, merge_start, merge_ns);
+        tb.add(Stage::Merge.name(), parent, merge_start, merge_ns);
     }
 }
 

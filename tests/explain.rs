@@ -1,8 +1,9 @@
-//! EXPLAIN-mode acceptance tests: funnel counts must reconcile *exactly*
-//! with the `SearchStats` counters on both engine backends, and turning
-//! the funnel on must never change a single hit — explain is pure
-//! observation, not a search mode.
+//! EXPLAIN-mode acceptance tests: the encoded funnel report must take its
+//! counts from `SearchStats` at one shard and many, and turning the funnel
+//! on must never change a single hit — explain is pure observation, not a
+//! search mode.
 
+use koios::common::Json;
 use koios::prelude::*;
 use koios_datagen::corpus::{Corpus, CorpusSpec};
 use std::sync::Arc;
@@ -17,64 +18,64 @@ fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     (Arc::new(c.repository), sim)
 }
 
-/// Every funnel counter that mirrors a `SearchStats` field must agree
-/// with it exactly; the funnel is the same accounting viewed stage-wise.
+/// The encoded report lists every key in wire order, takes each count it
+/// shares with `SearchStats` from `SearchStats`, and conserves candidates
+/// and posting entries across its stages.
 fn assert_reconciled(result: &SearchResult, label: &str) {
     let stats = &result.stats;
     let f = stats
         .funnel
         .as_deref()
         .unwrap_or_else(|| panic!("{label}: explain mode must attach a funnel"));
-    assert_eq!(
-        f.stream_tuples, stats.stream_tuples,
-        "{label}: stream_tuples"
-    );
-    assert_eq!(
-        f.candidates_discovered, stats.candidates,
-        "{label}: candidates"
-    );
-    assert_eq!(
-        f.ub_filter_pruned, stats.ub_filter_pruned,
-        "{label}: ub_filter_pruned"
-    );
-    assert_eq!(f.iub_pruned, stats.iub_pruned, "{label}: iub_pruned");
-    assert_eq!(
-        f.entered_postprocess, stats.to_postprocess,
-        "{label}: entered_postprocess"
-    );
-    assert_eq!(
-        f.postprocess_ub_pruned, stats.postprocess_ub_pruned,
-        "{label}: postprocess_ub_pruned"
-    );
-    assert_eq!(f.no_em_certified, stats.no_em, "{label}: no_em_certified");
-    assert_eq!(
-        f.em_early_terminated, stats.em_early_terminated,
-        "{label}: em_early_terminated"
-    );
-    assert_eq!(f.em_verified, stats.em_full, "{label}: em_verified");
-    assert_eq!(f.bucket_moves, stats.bucket_moves, "{label}: bucket_moves");
-    assert_eq!(
-        f.knn_cache_hits, stats.knn_cache.hits,
-        "{label}: knn_cache_hits"
-    );
-    assert_eq!(
-        f.knn_cache_misses, stats.knn_cache.misses,
-        "{label}: knn_cache_misses"
-    );
-    assert_eq!(f.returned, result.hits.len(), "{label}: returned");
+    // Every key of the report in wire order, with the count it must
+    // encode (`None`: evidence only EXPLAIN collects).
+    let expected: [(&str, Option<usize>); 22] = [
+        ("stream_tuples", Some(stats.stream_tuples)),
+        ("postings_probed", Some(stats.stream_tuples)),
+        ("posting_entries_scanned", None),
+        ("posting_lengths", None),
+        ("tombstone_skips", None),
+        ("candidates_discovered", Some(stats.candidates)),
+        ("ub_filter_pruned", Some(stats.ub_filter_pruned)),
+        ("iub_pruned", Some(stats.iub_pruned)),
+        ("theta_raises", None),
+        ("bucket_moves", Some(stats.bucket_moves)),
+        ("entered_postprocess", Some(stats.to_postprocess)),
+        ("postprocess_ub_pruned", Some(stats.postprocess_ub_pruned)),
+        ("no_em_certified", Some(stats.no_em)),
+        ("em_early_terminated", Some(stats.em_early_terminated)),
+        ("em_verified", Some(stats.em_full)),
+        ("merge_verifications", None),
+        ("matrix_cells", None),
+        ("support_cells", None),
+        ("returned", Some(result.hits.len())),
+        ("knn_cache_hits", Some(stats.knn_cache.hits)),
+        ("knn_cache_misses", Some(stats.knn_cache.misses)),
+        ("shards", None),
+    ];
+    let Json::Obj(fields) = f.to_json(stats) else {
+        panic!("{label}: the report is a JSON object");
+    };
+    assert_eq!(fields.len(), expected.len(), "{label}: report keys");
+    for ((key, value), (want_key, want)) in fields.iter().zip(expected) {
+        assert_eq!(key, want_key, "{label}: report key order");
+        if let Some(want) = want {
+            assert_eq!(value.as_u64(), Some(want as u64), "{label}: {key}");
+        }
+    }
 
     // Conservation: every discovered candidate is pruned at refinement,
     // pruned at postprocess admission, or enters postprocess.
     assert_eq!(
-        f.candidates_discovered,
-        f.ub_filter_pruned + f.iub_pruned + f.entered_postprocess,
+        stats.candidates,
+        stats.ub_filter_pruned + stats.iub_pruned + stats.to_postprocess,
         "{label}: refinement stage must conserve candidates"
     );
-    // Posting-length evidence covers every probed token's list.
+    // Posting-length evidence: one posting list probed per stream tuple.
     assert_eq!(
         f.posting_lengths.len(),
-        f.postings_probed,
-        "{label}: one posting length per probed token"
+        stats.stream_tuples,
+        "{label}: one posting length per stream tuple"
     );
     assert_eq!(
         f.posting_lengths.iter().sum::<usize>(),
@@ -103,10 +104,12 @@ fn funnel_reconciles_with_stats_on_single_engine() {
     }
 }
 
+/// The report keeps its keys and their order with and without fan-out:
+/// no shard rows at p = 1, one row per shard beyond.
 #[test]
 fn funnel_reconciles_with_stats_on_partitioned_engine() {
     let (repo, sim) = corpus(1201);
-    for parts in [2usize, 5, 9] {
+    for parts in [1usize, 2, 3, 5, 9] {
         let cfg = KoiosConfig::new(5, 0.8).with_explain(true);
         let engine = EngineBackend::new(Arc::clone(&repo), sim.clone(), cfg, parts, 0xBEEF);
         for q in 0..6u32 {
@@ -115,18 +118,23 @@ fn funnel_reconciles_with_stats_on_partitioned_engine() {
             let label = format!("partitioned parts={parts} q={q}");
             assert_reconciled(&res, &label);
 
+            let stats = &res.stats;
+            let f = stats.funnel.as_deref().unwrap();
+            if parts == 1 {
+                assert!(f.shards.is_empty(), "{label}: one shard has no sub-funnel");
+                continue;
+            }
+            assert_eq!(f.shards.len(), parts, "{label}: one sub-funnel per shard");
             // The per-shard sub-funnels must sum back to the merged totals
             // for the counters that accumulate shard-locally.
-            let f = res.stats.funnel.as_deref().unwrap();
-            assert_eq!(f.shards.len(), parts, "{label}: one sub-funnel per shard");
             assert_eq!(
                 f.shards.iter().map(|s| s.stream_tuples).sum::<usize>(),
-                f.stream_tuples,
+                stats.stream_tuples,
                 "{label}: shard stream_tuples"
             );
             assert_eq!(
                 f.shards.iter().map(|s| s.candidates).sum::<usize>(),
-                f.candidates_discovered,
+                stats.candidates,
                 "{label}: shard candidates"
             );
             assert_eq!(
@@ -134,13 +142,14 @@ fn funnel_reconciles_with_stats_on_partitioned_engine() {
                     .iter()
                     .map(|s| s.entered_postprocess)
                     .sum::<usize>(),
-                f.entered_postprocess,
+                stats.to_postprocess,
                 "{label}: shard entered_postprocess"
             );
-            // Merge-time verification only ever *adds* exact matchings on
-            // top of what the shards certified.
-            assert!(
-                f.shards.iter().map(|s| s.em_verified).sum::<usize>() <= f.em_verified,
+            // The merge's verifications are the exact matchings run on top
+            // of the shards' own.
+            assert_eq!(
+                f.shards.iter().map(|s| s.em_verified).sum::<usize>() + f.merge_verifications,
+                stats.em_full,
                 "{label}: shard em_verified"
             );
         }
